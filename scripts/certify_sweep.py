@@ -17,14 +17,8 @@ import sys
 import time
 from dataclasses import dataclass
 
-from minrank import (
-    BlockProblem,
-    BudgetExceededError,
-    Matrix,
-    PrimeField,
-    certify,
-    field_from_name,
-)
+from minrank import BudgetExceededError, PrimeField, certify, field_from_name
+from random_problem import rand_problem
 
 
 @dataclass
@@ -35,23 +29,6 @@ class SweepConfig:
     n_choices: tuple[int, ...] = (2, 3, 4)
     max_size: int = 2
     budget: int = 10**6
-
-
-def rand_problem(rng, field, cfg: SweepConfig) -> BlockProblem:
-    n = rng.choice(cfg.n_choices)
-    row_sizes = tuple(rng.randint(1, cfg.max_size) for _ in range(n))
-    col_sizes = tuple(rng.randint(1, cfg.max_size) for _ in range(n))
-    blocks = {
-        (i, j): Matrix.from_flat(
-            field, row_sizes[i - 1], col_sizes[j - 1],
-            [rng.randrange(field.p)
-             for _ in range(row_sizes[i - 1] * col_sizes[j - 1])])
-        for i in range(1, n + 1)
-        for j in range(1, i + 1)
-        if (i, j) != (n, 1)
-    }
-    return BlockProblem(field=field, row_sizes=row_sizes, col_sizes=col_sizes,
-                        blocks=blocks)
 
 
 def run(cfg: SweepConfig) -> int:
@@ -65,7 +42,7 @@ def run(cfg: SweepConfig) -> int:
     skipped = 0
     started = time.perf_counter()
     for trial in range(cfg.trials):
-        p = rand_problem(rng, field, cfg)
+        p = rand_problem(rng, field, rng.choice(cfg.n_choices), cfg.max_size)
         try:
             result = certify(p, cfg.budget)
         except BudgetExceededError as exc:

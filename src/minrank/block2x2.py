@@ -35,7 +35,6 @@ ways and insists they agree.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -45,6 +44,7 @@ from .matrix import (
     IndexSet,
     InconsistentSystemError,
     Matrix,
+    enumerate_matrices,
     hstack,
     minimal_spanning_columns,
     minimal_spanning_rows,
@@ -289,12 +289,6 @@ def complete(p: TwoByTwoProblem, s: TwoByTwoSolutionSet, f: FreeChoice2x2) -> Ma
 
 def enumerate_free_choices(field: Field, s: TwoByTwoSolutionSet) -> Iterator[FreeChoice2x2]:
     """All free choices over a finite field, lexicographic in row-major entry order."""
-    shapes = list(FreeChoice2x2.block_shapes(s).items())
-    sizes = [r * c for _, (r, c) in shapes]
-    for combo in itertools.product(field.elements(), repeat=sum(sizes)):
-        blocks = {}
-        pos = 0
-        for (name, (r, c)), size in zip(shapes, sizes):
-            blocks[name] = Matrix.from_flat(field, r, c, combo[pos:pos + size])
-            pos += size
-        yield FreeChoice2x2(**blocks)
+    shapes = FreeChoice2x2.block_shapes(s)
+    for blocks in enumerate_matrices(field, list(shapes.values())):
+        yield FreeChoice2x2(**dict(zip(shapes, blocks)))

@@ -14,9 +14,15 @@ from typing import Optional
 
 from . import files
 from .block2x2 import FreeChoice2x2, analyze, complete, enumerate_free_choices as enumerate_2x2
-from .fields import Field, FieldMismatchError, PrimeField
+from .fields import FieldMismatchError
 from .matrix import DimensionError
-from .oracle import BudgetExceededError, DEFAULT_BUDGET, UnsupportedFieldError, certify
+from .oracle import (
+    BudgetExceededError,
+    DEFAULT_BUDGET,
+    UnsupportedFieldError,
+    certify,
+    require_enumerable,
+)
 from .overlap import (
     analyze_overlap,
     complete_overlap,
@@ -38,18 +44,6 @@ def _emit(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _guard_enumeration(field: Field, dimension: int, budget: int) -> int:
-    if not isinstance(field, PrimeField):
-        raise UnsupportedFieldError(
-            f"--enumerate requires a finite field, not {field}")
-    count = field.p ** dimension
-    if count > budget:
-        raise BudgetExceededError(
-            f"enumerating {count} solutions exceeds the budget of {budget}; "
-            "raise it with --budget", required=count)
-    return count
-
-
 def _cmd_solve(args) -> int:
     p = files.problem_from_json(_load_json(args.problem), args.problem)
     sol = analyze_overlap(p)
@@ -61,7 +55,7 @@ def _cmd_solve(args) -> int:
         completion = sol.base_solution
     enumerated = None
     if args.enumerate:
-        _guard_enumeration(p.field, sol.dimension, args.budget)
+        require_enumerable(p.field, sol.dimension, args.budget)
         enumerated = [complete_overlap(p, chains, g)
                       for g in enumerate_overlap(p.field, chains)]
     _emit(files.solution_to_json(p, sol, completion, enumerated))
@@ -101,7 +95,7 @@ def _cmd_solve2x2(args) -> int:
     completion = complete(p, s, f)
     enumerated = None
     if args.enumerate:
-        _guard_enumeration(p.field, s.dimension, args.budget)
+        require_enumerable(p.field, s.dimension, args.budget)
         enumerated = [complete(p, s, g) for g in enumerate_2x2(p.field, s)]
     _emit(files.two_by_two_solution_to_json(p, s, completion, enumerated))
     return 0

@@ -99,6 +99,25 @@ def _block_key(raw: str, where: str) -> tuple[int, int]:
     return i, j
 
 
+def _raw_blocks(obj: Any, where: str) -> Mapping:
+    """The ``"blocks"`` mapping of a JSON object."""
+    if not isinstance(obj, Mapping):
+        raise ProblemFormatError(f"{where}: expected a JSON object")
+    raw_blocks = _require(obj, "blocks", where)
+    if not isinstance(raw_blocks, Mapping):
+        raise ProblemFormatError(f"{where}: \"blocks\" must be an object")
+    return raw_blocks
+
+
+def _indexed_blocks(obj: Any, field: Field, where: str) -> dict[tuple[int, int], Matrix]:
+    """The ``"blocks"`` of a JSON object, parsed from ``"i,j"`` keys."""
+    blocks = {}
+    for raw_key, literal in _raw_blocks(obj, where).items():
+        key = _block_key(raw_key, where)
+        blocks[key] = matrix_from_json(field, literal, f"{where}: block \"{raw_key}\"")
+    return blocks
+
+
 def problem_from_json(obj: Any, where: str = "problem") -> BlockProblem:
     if not isinstance(obj, Mapping):
         raise ProblemFormatError(f"{where}: expected a JSON object")
@@ -108,13 +127,7 @@ def problem_from_json(obj: Any, where: str = "problem") -> BlockProblem:
         raise ProblemFormatError(f"{where}: \"n\" must be an integer >= 2")
     row_sizes = _size_vector(obj, "row_sizes", n, where)
     col_sizes = _size_vector(obj, "col_sizes", n, where)
-    raw_blocks = _require(obj, "blocks", where)
-    if not isinstance(raw_blocks, Mapping):
-        raise ProblemFormatError(f"{where}: \"blocks\" must be an object")
-    blocks = {}
-    for raw_key, literal in raw_blocks.items():
-        key = _block_key(raw_key, where)
-        blocks[key] = matrix_from_json(field, literal, f"{where}: block \"{raw_key}\"")
+    blocks = _indexed_blocks(obj, field, where)
     try:
         return BlockProblem(field=field, row_sizes=row_sizes, col_sizes=col_sizes,
                             blocks=blocks)
@@ -136,16 +149,7 @@ def problem_to_json(p: BlockProblem) -> dict:
 
 def overlap_free_choice_from_json(obj: Any, p: BlockProblem, chains: IndexChains,
                                   where: str = "free choice") -> FreeChoiceOverlap:
-    if not isinstance(obj, Mapping):
-        raise ProblemFormatError(f"{where}: expected a JSON object")
-    raw_blocks = _require(obj, "blocks", where)
-    if not isinstance(raw_blocks, Mapping):
-        raise ProblemFormatError(f"{where}: \"blocks\" must be an object")
-    blocks = {}
-    for raw_key, literal in raw_blocks.items():
-        key = _block_key(raw_key, where)
-        blocks[key] = matrix_from_json(p.field, literal, f"{where}: block \"{raw_key}\"")
-    choice = FreeChoiceOverlap(blocks)
+    choice = FreeChoiceOverlap(_indexed_blocks(obj, p.field, where))
     try:
         choice.validate_for(p, chains)
     except DimensionError as exc:
@@ -199,11 +203,7 @@ def two_by_two_to_json(p: TwoByTwoProblem) -> dict:
 
 def two_by_two_free_choice_from_json(obj: Any, field: Field, s: TwoByTwoSolutionSet,
                                      where: str = "free choice") -> FreeChoice2x2:
-    if not isinstance(obj, Mapping):
-        raise ProblemFormatError(f"{where}: expected a JSON object")
-    raw_blocks = _require(obj, "blocks", where)
-    if not isinstance(raw_blocks, Mapping):
-        raise ProblemFormatError(f"{where}: \"blocks\" must be an object")
+    raw_blocks = _raw_blocks(obj, where)
     shapes = FreeChoice2x2.block_shapes(s)
     unknown = set(raw_blocks) - set(shapes)
     if unknown:

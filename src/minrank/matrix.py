@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .fields import Field, Scalar, require_same_field
 
@@ -276,47 +276,20 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(field, sum(m.rows for m in mats), cols, data)
 
 
-class _Reducer:
-    """Incremental row-space basis kept in reduced echelon form.
+def enumerate_matrices(field: Field,
+                       shapes: Sequence[tuple[int, int]]) -> Iterator[tuple[Matrix, ...]]:
+    """Every tuple of matrices of the given shapes over a finite field.
 
-    Supports membership tests and extension one vector at a time; used for
-    greedy independent/spanning subset selection without re-eliminating.
+    Lexicographic in the concatenated row-major entries, first shape first.
     """
-
-    def __init__(self, field: Field, width: int):
-        self.field = field
-        self.width = width
-        self.pivots: dict[int, list[Scalar]] = {}
-
-    def _reduce(self, vec: Sequence[Scalar]) -> list[Scalar]:
-        F = self.field
-        v = list(vec)
-        # Basis rows are mutually reduced, so one pass in any order suffices.
-        for col, row in self.pivots.items():
-            c = v[col]
-            if not F.is_zero(c):
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec: Sequence[Scalar]) -> bool:
-        F = self.field
-        return all(F.is_zero(a) for a in self._reduce(vec))
-
-    def add(self, vec: Sequence[Scalar]) -> bool:
-        """Extend the basis; True iff ``vec`` was independent of it."""
-        F = self.field
-        v = self._reduce(vec)
-        piv = next((j for j, a in enumerate(v) if not F.is_zero(a)), None)
-        if piv is None:
-            return False
-        inv = F.inverse(v[piv])
-        v = [F.mul(inv, a) for a in v]
-        for col, row in self.pivots.items():
-            c = row[piv]
-            if not F.is_zero(c):
-                self.pivots[col] = [F.sub(a, F.mul(c, b)) for a, b in zip(row, v)]
-        self.pivots[piv] = v
-        return True
+    sizes = [r * c for r, c in shapes]
+    for combo in itertools.product(field.elements(), repeat=sum(sizes)):
+        out = []
+        pos = 0
+        for (r, c), size in zip(shapes, sizes):
+            out.append(Matrix.from_flat(field, r, c, combo[pos:pos + size]))
+            pos += size
+        yield tuple(out)
 
 
 class RrefResult(NamedTuple):
@@ -325,63 +298,72 @@ class RrefResult(NamedTuple):
     transform: Matrix
 
 
+def _eliminate(m: Matrix, reduce: bool = False) -> tuple[
+        tuple[int, ...], Optional[list[list[Scalar]]], Optional[list[list[Scalar]]]]:
+    """Greedy left-to-right Gaussian elimination on the rows of ``m``.
+
+    The pivot columns are the column rank profile of ``m``: the
+    lowest-index maximal independent set of columns, whatever row swaps the
+    elimination makes.  Every rank and greedy selection is read from them.
+    Without ``reduce`` only the rows below each pivot are eliminated, and
+    only the pivots are returned.  With ``reduce`` the rows also come back
+    in reduced row echelon form, with the invertible transform that
+    produces them.  A pivot row is zero left of its pivot, so no column
+    before the pivot is ever recomputed.
+    """
+    F = m.field
+    # Scalars are canonical, so a zero test is a plain comparison.
+    zero, sub, mul = F.zero, F.sub, F.mul
+    a = [list(r) for r in m.data]
+    t = ([[F.one if i == j else zero for j in range(m.rows)] for i in range(m.rows)]
+         if reduce else None)
+    pivots = []
+    for col in range(m.cols):
+        r = len(pivots)
+        if r == m.rows:
+            break
+        pr = next((i for i in range(r, m.rows) if a[i][col] != zero), None)
+        if pr is None:
+            continue
+        pivots.append(col)
+        a[r], a[pr] = a[pr], a[r]
+        inv = F.inverse(a[r][col])
+        if reduce:
+            t[r], t[pr] = t[pr], t[r]
+            a[r][col:] = [F.one] + [mul(inv, x) for x in a[r][col + 1:]]
+            t[r] = [mul(inv, x) for x in t[r]]
+            targets = [i for i in range(m.rows) if i != r]
+        else:
+            targets = range(r + 1, m.rows)
+        tail = a[r][col + 1:]
+        for i in targets:
+            c = a[i][col]
+            if c == zero:
+                continue
+            if reduce:
+                a[i][col] = zero
+                t[i] = [sub(x, mul(c, y)) for x, y in zip(t[i], t[r])]
+            else:
+                c = mul(c, inv)
+            a[i][col + 1:] = [sub(x, mul(c, y)) for x, y in zip(a[i][col + 1:], tail)]
+    return (tuple(pivots), a, t) if reduce else (tuple(pivots), None, None)
+
+
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form with the invertible transform that produces it.
 
     ``transform @ m == reduced`` exactly; pivot columns are chosen greedily
     left to right.
     """
-    F = m.field
-    a = [list(r) for r in m.data]
-    t = [[F.one if i == j else F.zero for j in range(m.rows)] for i in range(m.rows)]
-    pivots = []
-    r = 0
-    for col in range(m.cols):
-        if r == m.rows:
-            break
-        pr = next((i for i in range(r, m.rows) if not F.is_zero(a[i][col])), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        t[r], t[pr] = t[pr], t[r]
-        inv = F.inverse(a[r][col])
-        a[r] = [F.mul(inv, x) for x in a[r]]
-        t[r] = [F.mul(inv, x) for x in t[r]]
-        for i in range(m.rows):
-            if i == r:
-                continue
-            c = a[i][col]
-            if not F.is_zero(c):
-                a[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(a[i], a[r])]
-                t[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(t[i], t[r])]
-        pivots.append(col)
-        r += 1
-    reduced = Matrix(F, m.rows, m.cols, tuple(tuple(row) for row in a))
-    transform = Matrix(F, m.rows, m.rows, tuple(tuple(row) for row in t))
-    return RrefResult(reduced, IndexSet(tuple(pivots), m.cols), transform)
+    pivots, a, t = _eliminate(m, reduce=True)
+    return RrefResult(Matrix(m.field, m.rows, m.cols, tuple(map(tuple, a))),
+                      IndexSet(pivots, m.cols),
+                      Matrix(m.field, m.rows, m.rows, tuple(map(tuple, t))))
 
 
 def rank(m: Matrix) -> int:
-    """Rank by plain forward elimination; cheaper than full rref."""
-    F = m.field
-    rows = [list(r) for r in m.data]
-    rk = 0
-    for col in range(m.cols):
-        if rk == m.rows:
-            break
-        pr = next((i for i in range(rk, m.rows) if not F.is_zero(rows[i][col])), None)
-        if pr is None:
-            continue
-        rows[rk], rows[pr] = rows[pr], rows[rk]
-        pivot = rows[rk]
-        inv = F.inverse(pivot[col])
-        for i in range(rk + 1, m.rows):
-            c = rows[i][col]
-            if not F.is_zero(c):
-                f = F.mul(c, inv)
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], pivot)]
-        rk += 1
-    return rk
+    """Rank, the length of the column rank profile; no back substitution."""
+    return len(_eliminate(m)[0])
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -395,29 +377,28 @@ def inverse(m: Matrix) -> Matrix:
 
 def max_independent_rows(m: Matrix) -> IndexSet:
     """Greedy lowest-index maximal linearly independent subset of rows."""
-    reducer = _Reducer(m.field, m.cols)
-    return IndexSet(tuple(i for i in range(m.rows) if reducer.add(m.data[i])), m.rows)
+    return IndexSet(_eliminate(m.transpose())[0], m.rows)
 
 
 def max_independent_cols(m: Matrix) -> IndexSet:
-    reducer = _Reducer(m.field, m.rows)
-    return IndexSet(tuple(j for j in range(m.cols) if reducer.add(m.column(j))), m.cols)
+    """Greedy lowest-index maximal linearly independent subset of columns."""
+    return IndexSet(_eliminate(m)[0], m.cols)
 
 
 def minimal_spanning_columns(extra: Matrix, anchor: Matrix) -> IndexSet:
     """Greedy minimal column set of ``extra`` spanning it modulo ``anchor``.
 
     Selected set S is the lexicographically first minimal one with
-    Col[extra(:,S), anchor] = Col[extra, anchor].
+    Col[extra(:,S), anchor] = Col[extra, anchor]: the column rank profile of
+    ``[anchor | extra]`` restricted to ``extra``.
     """
-    require_same_field(extra.field, anchor.field)
+    field = require_same_field(extra.field, anchor.field)
     if extra.rows != anchor.rows:
         raise DimensionError("operands disagree on row count")
-    reducer = _Reducer(extra.field, extra.rows)
-    for j in range(anchor.cols):
-        reducer.add(anchor.column(j))
-    return IndexSet(tuple(j for j in range(extra.cols) if reducer.add(extra.column(j))),
-                    extra.cols)
+    joined = Matrix(field, extra.rows, anchor.cols + extra.cols,
+                    tuple(a + e for a, e in zip(anchor.data, extra.data)))
+    pivots = _eliminate(joined)[0]
+    return IndexSet(tuple(j - anchor.cols for j in pivots if j >= anchor.cols), extra.cols)
 
 
 def minimal_spanning_rows(extra: Matrix, anchor: Matrix) -> IndexSet:

@@ -9,11 +9,10 @@ path of the construction it is checking.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .fields import PrimeField
-from .matrix import Matrix, hstack, rank, vstack
+from .fields import Field, PrimeField
+from .matrix import Matrix, enumerate_matrices, hstack, rank, vstack
 from .overlap import (
     BlockProblem,
     build_chains,
@@ -29,9 +28,16 @@ class UnsupportedFieldError(ValueError):
 
 
 class BudgetExceededError(ValueError):
-    def __init__(self, message: str, required: int):
+    """An enumeration of ``base ** exponent`` items would exceed the budget."""
+
+    def __init__(self, message: str, base: int, exponent: int):
         super().__init__(message)
-        self.required = required
+        self.base = base
+        self.exponent = exponent
+
+    @property
+    def required(self) -> int:
+        return self.base ** self.exponent
 
 
 DEFAULT_BUDGET = 10**6
@@ -58,21 +64,27 @@ def _rank_vector(p: BlockProblem, X: Matrix) -> tuple[int, ...]:
     return tuple(out)
 
 
+def require_enumerable(field: Field, exponent: int, budget: int) -> int:
+    """The count ``p ** exponent`` of a finite-field enumeration within ``budget``.
+
+    Rejects an enumeration over an infinite field, or one that would exceed
+    the budget.  Since p >= 2, an exponent beyond the budget's bit length
+    is rejected without forming the (possibly huge) power.
+    """
+    if not isinstance(field, PrimeField):
+        raise UnsupportedFieldError(f"enumeration needs a finite field, not {field}")
+    if exponent <= budget.bit_length():
+        count = field.p ** exponent
+        if count <= budget:
+            return count
+    raise BudgetExceededError(
+        f"enumerating {field.p}^{exponent} items exceeds the budget of {budget}",
+        base=field.p, exponent=exponent)
+
+
 def _candidates(p: BlockProblem):
-    entries = p.x_rows * p.x_cols
-    for combo in itertools.product(p.field.elements(), repeat=entries):
-        yield Matrix.from_flat(p.field, p.x_rows, p.x_cols, combo)
-
-
-def _check_enumerable(p: BlockProblem, budget: int) -> None:
-    if not isinstance(p.field, PrimeField):
-        raise UnsupportedFieldError(
-            f"cannot enumerate over the infinite field {p.field}")
-    required = p.field.p ** (p.x_rows * p.x_cols)
-    if required > budget:
-        raise BudgetExceededError(
-            f"enumeration needs {required} candidates, over the budget of {budget}",
-            required=required)
+    for (X,) in enumerate_matrices(p.field, [(p.x_rows, p.x_cols)]):
+        yield X
 
 
 def exhaust(p: BlockProblem, budget: int = DEFAULT_BUDGET) -> ExhaustiveReport:
@@ -82,7 +94,7 @@ def exhaust(p: BlockProblem, budget: int = DEFAULT_BUDGET) -> ExhaustiveReport:
     row-major order: one to find the componentwise minimum rank vector, one
     to collect statistics and the minimizer set.
     """
-    _check_enumerable(p, budget)
+    require_enumerable(p.field, p.x_rows * p.x_cols, budget)
     n = p.n
 
     minimum = None
@@ -136,11 +148,7 @@ def certify(p: BlockProblem, budget: int = DEFAULT_BUDGET) -> CertificationResul
 
     chains = build_chains(p)
     sol = dimension_and_ranks(p, chains)
-    predicted = p.field.p ** sol.dimension
-    if predicted > budget:
-        raise BudgetExceededError(
-            f"free-choice enumeration needs {predicted} completions, "
-            f"over the budget of {budget}", required=predicted)
+    predicted = require_enumerable(p.field, sol.dimension, budget)
 
     produced = set()
     for f in enumerate_free_choices(p.field, chains):

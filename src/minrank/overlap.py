@@ -19,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Iterator, Mapping, Optional
 
-import itertools
-
 from .fields import Field, require_same_field
 from .matrix import (
     DimensionError,
     IndexSet,
     Matrix,
+    enumerate_matrices,
     hstack,
     minimal_spanning_columns,
     minimal_spanning_rows,
@@ -345,16 +344,10 @@ def uniqueness_shortcut(p: BlockProblem, k: int) -> Optional[Matrix]:
 def enumerate_free_choices(field: Field, chains: IndexChains) -> Iterator[FreeChoiceOverlap]:
     """All free choices over a finite field, lexicographic in block-then-entry order."""
     n = chains.n
-    slots = [(i, j, len(chains.row_group(i)), len(chains.col_group(j)))
-             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    total = sum(r * c for _, _, r, c in slots)
-    for combo in itertools.product(field.elements(), repeat=total):
-        blocks = {}
-        pos = 0
-        for i, j, r, c in slots:
-            blocks[(i, j)] = Matrix.from_flat(field, r, c, combo[pos:pos + r * c])
-            pos += r * c
-        yield FreeChoiceOverlap(blocks)
+    keys = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    shapes = [(len(chains.row_group(i)), len(chains.col_group(j))) for i, j in keys]
+    for blocks in enumerate_matrices(field, shapes):
+        yield FreeChoiceOverlap(dict(zip(keys, blocks)))
 
 
 def transpose_problem(p: BlockProblem) -> BlockProblem:

@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -134,6 +135,33 @@ def test_verify_budget_too_small(tmp_path, capsys):
     code, _, err = run(capsys, ["verify", path, "--budget", "1"])
     assert code == 2
     assert "budget" in err
+
+
+def test_solve_enumerate_huge_count_is_a_budget_error(tmp_path, capsys):
+    # 101^2500 free corners: the count must not be formed or printed in full.
+    identity = [["1" if i == j else "0" for j in range(50)] for i in range(50)]
+    doc = {"field": "gf(101)", "n": 2, "row_sizes": [50, 50], "col_sizes": [50, 50],
+           "blocks": {"1,1": identity, "2,2": identity}}
+    path = write_json(tmp_path, "p.json", doc)
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["solve", path, "--enumerate"])
+    assert code == 2
+    assert "budget" in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_verify_huge_corner_is_a_budget_error(tmp_path, capsys):
+    # A 1000x1000 corner over GF(2): 2^1000000 candidates.
+    empty_rows = {"rows": 0, "cols": 1000, "entries": []}
+    empty_cols = {"rows": 1000, "cols": 0, "entries": []}
+    doc = {"field": "gf(2)", "n": 2, "row_sizes": [0, 1000], "col_sizes": [1000, 0],
+           "blocks": {"1,1": empty_rows, "2,2": empty_cols}}
+    path = write_json(tmp_path, "p.json", doc)
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["verify", path])
+    assert code == 2
+    assert "budget" in err
+    assert time.perf_counter() - started < 1.0
 
 
 def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):

@@ -271,6 +271,12 @@ def test_minimal_spanning_columns_matches_brute_force(extra, data):
     for drop in range(len(got)):
         kept = [c for k, c in enumerate(got) if k != drop]
         assert rank(hstack([anchor, extra.submatrix(cols=kept)])) < target
+    # with no anchor the same greedy rule picks the independent rows and columns
+    no_anchor = Matrix.zeros(extra.field, extra.rows, 0)
+    assert tuple(max_independent_cols(extra)) == brute_minimal_spanning_columns(extra, no_anchor)
+    dual = extra.transpose()
+    assert tuple(max_independent_rows(extra)) == brute_minimal_spanning_columns(
+        dual, Matrix.zeros(extra.field, dual.rows, 0))
 
 
 @given(matrices(max_rows=4, max_cols=3), st.data())
