@@ -14,18 +14,12 @@ from typing import Optional
 
 from . import files
 from .block2x2 import FreeChoice2x2, analyze, complete, enumerate_free_choices as enumerate_2x2
-from .fields import FieldMismatchError
-from .matrix import DimensionError
-from .oracle import (
-    BudgetExceededError,
-    DEFAULT_BUDGET,
-    UnsupportedFieldError,
-    certify,
-    require_enumerable,
-)
+from .oracle import DEFAULT_BUDGET, certify, require_enumerable
 from .overlap import (
     analyze_overlap,
+    build_chains,
     complete_overlap,
+    dimension_and_ranks,
     enumerate_free_choices as enumerate_overlap,
     hankel_ranks,
 )
@@ -64,8 +58,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_dimension(args) -> int:
     p = files.problem_from_json(_load_json(args.problem), args.problem)
-    sol = analyze_overlap(p)
-    print(sol.dimension)
+    print(dimension_and_ranks(p, build_chains(p)).dimension)
     return 0
 
 
@@ -145,11 +138,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (files.ProblemFormatError, DimensionError, FieldMismatchError,
-            UnsupportedFieldError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:   # every input error here is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

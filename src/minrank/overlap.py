@@ -17,6 +17,8 @@ solve against the known data and the rows fixed so far.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cached_property
+from itertools import islice
 from typing import Iterator, Mapping, Optional
 
 from .fields import Field, require_same_field
@@ -32,7 +34,7 @@ from .matrix import (
     vstack,
 )
 from .ucl import HypothesisError, InternalInvariantError, UclInstance, solve_ucl
-from .block2x2 import TwoByTwoProblem, analyze, r_opt
+from .block2x2 import TwoByTwoProblem, analyze
 
 
 @dataclass(frozen=True)
@@ -56,16 +58,22 @@ class BlockProblem:
             raise DimensionError("row_sizes and col_sizes must have equal length")
         if any(s < 0 for s in self.row_sizes + self.col_sizes):
             raise DimensionError("block sizes must be nonnegative")
-        required = {(i, j) for i in range(1, n + 1) for j in range(1, i + 1)} - {(n, 1)}
-        present = set(self.blocks)
-        if present != required:
-            missing = sorted(required - present)
-            extra = sorted(present - required)
-            parts = []
-            if missing:
-                parts.append("missing blocks " + ", ".join(f"\"{i},{j}\"" for i, j in missing))
-            if extra:
-                parts.append("unexpected blocks " + ", ".join(f"\"{i},{j}\"" for i, j in extra))
+        # The n(n+1)/2 - 1 required keys are counted, not built; a message
+        # names at most five of each kind.
+        extra = sorted(key for key in self.blocks if not (
+            isinstance(key, tuple) and len(key) == 2
+            and 1 <= key[1] <= key[0] <= n and key != (n, 1)))
+        missing = ((i, j) for i in range(1, n + 1) for j in range(1, i + 1)
+                   if (i, j) not in self.blocks and (i, j) != (n, 1))
+        parts = []
+        for label, keys, count in (
+                ("missing", missing, n * (n + 1) // 2 - 1 - len(self.blocks) + len(extra)),
+                ("unexpected", extra, len(extra))):
+            if count:
+                named = ", ".join(f"\"{i},{j}\"" for i, j in islice(keys, 5))
+                parts.append(f"{label} blocks {named}"
+                             + (f" and {count - 5} more" if count > 5 else ""))
+        if parts:
             raise DimensionError("; ".join(parts))
         for (i, j), m in self.blocks.items():
             require_same_field(self.field, m.field)
@@ -108,21 +116,30 @@ class BlockProblem:
             strips.append(hstack(row) if row else Matrix.zeros(self.field, self.row_size(i), 0))
         return vstack(strips) if strips else Matrix.zeros(self.field, 0, width)
 
+    @cached_property
+    def hankel(self) -> tuple[TwoByTwoProblem, ...]:
+        """The n overlapping blocks as 2x2 problems in X, block k at index k-1.
+
+        B is block column 1 and C block columns 2..k over block rows k..n-1;
+        D is block columns 2..k of block row n.  Cut once per problem.
+        """
+        n = self.n
+        return tuple(TwoByTwoProblem(B=self.known_stack(k, n - 1, 1, 1),
+                                     C=self.known_stack(k, n - 1, 2, k),
+                                     D=self.known_stack(n, n, 2, k))
+                     for k in range(1, n + 1))
+
 
 def hankel_subproblem(p: BlockProblem, k: int) -> TwoByTwoProblem:
     """The k-th overlapping block as a 2x2 completion problem in X."""
     if not 1 <= k <= p.n:
         raise ValueError(f"block index {k} outside 1..{p.n}")
-    return TwoByTwoProblem(
-        B=p.known_stack(k, p.n - 1, 1, 1),
-        C=p.known_stack(k, p.n - 1, 2, k),
-        D=p.known_stack(p.n, p.n, 2, k),
-    )
+    return p.hankel[k - 1]
 
 
 def hankel_ranks(p: BlockProblem, X: Matrix) -> tuple[int, ...]:
     """Rank of each of the n overlapping blocks with X in place."""
-    return tuple(rank(hankel_subproblem(p, k).completed(X)) for k in range(1, p.n + 1))
+    return tuple(rank(h.completed(X)) for h in p.hankel)
 
 
 @dataclass(frozen=True)
@@ -177,14 +194,13 @@ def build_chains(p: BlockProblem) -> IndexChains:
     is dual, over the rows of the bottom strip (block row n, columns 2..i+1)
     against the known rows below block row i.
     """
-    n = p.n
+    n, hankel = p.n, p.hankel
     col_chain: list[Optional[IndexSet]] = [None] * (n + 1)
     col_chain[n] = IndexSet.empty(p.x_cols)
     col_chain[0] = IndexSet.full(p.x_cols)
     for i in range(n - 1, 0, -1):
-        extra = p.known_stack(i, n - 1, 1, 1)
-        anchor = hstack([extra.submatrix(cols=col_chain[i + 1]),
-                         p.known_stack(i, n - 1, 2, i)])
+        extra = hankel[i - 1].B
+        anchor = hstack([extra.submatrix(cols=col_chain[i + 1]), hankel[i - 1].C])
         selected = minimal_spanning_columns(extra, anchor)
         col_chain[i] = col_chain[i + 1].union(selected)
 
@@ -192,9 +208,8 @@ def build_chains(p: BlockProblem) -> IndexChains:
     row_chain[0] = IndexSet.empty(p.x_rows)
     row_chain[n] = IndexSet.full(p.x_rows)
     for i in range(1, n):
-        extra = p.known_stack(n, n, 2, i + 1)
-        anchor = vstack([p.known_stack(i + 1, n - 1, 2, i + 1),
-                         extra.submatrix(rows=row_chain[i - 1])])
+        extra = hankel[i].D
+        anchor = vstack([hankel[i].C, extra.submatrix(rows=row_chain[i - 1])])
         selected = minimal_spanning_rows(extra, anchor)
         row_chain[i] = row_chain[i - 1].union(selected)
 
@@ -256,17 +271,16 @@ def complete_overlap(p: BlockProblem, chains: IndexChains,
         filled = chains.determined_cols(i)
         fixed_rows = chains.row_chain[i - 1]
         group = chains.row_group(i)
-        first_col = p.known_stack(i, n - 1, 1, 1)
-        bottom = p.known_stack(n, n, 2, i)
+        h = p.hankel[i - 1]
         inst = UclInstance(
-            B1=first_col.submatrix(cols=filled),
+            B1=h.B.submatrix(cols=filled),
             B2=X.submatrix(rows=fixed_rows, cols=filled),
-            C11=first_col.submatrix(cols=kept),
-            C12=p.known_stack(i, n - 1, 2, i),
+            C11=h.B.submatrix(cols=kept),
+            C12=h.C,
             C21=X.submatrix(rows=fixed_rows, cols=kept),
-            C22=bottom.submatrix(rows=fixed_rows),
+            C22=h.D.submatrix(rows=fixed_rows),
             D1=X.submatrix(rows=group, cols=kept),
-            D2=bottom.submatrix(rows=group),
+            D2=h.D.submatrix(rows=group),
         )
         try:
             solved = solve_ucl(inst)
@@ -297,30 +311,22 @@ class OverlapSolutionSet:
 def dimension_and_ranks(p: BlockProblem, chains: IndexChains) -> OverlapSolutionSet:
     """Solution-set dimension from rank differences, plus per-block optima.
 
-    The boundary values are fixed by the cardinality bookkeeping: alpha_0 = 0,
-    alpha_n = rows(X), beta_1 = rank of the stacked first-column blocks, and
-    beta_n subtracts the rank of an empty stack.
+    Three ranks of each overlapping block k, rank[B C], rank[C;D] and rank C,
+    give everything: alpha_k = rank[C;D] - rank C of block k+1 for
+    k = 1..n-1, with alpha_0 = 0 and alpha_n = rows(X); beta_k =
+    rank[B C] - rank C of block k; and block k's optimum is the sum of the
+    two differences plus rank C.
     """
     n = p.n
-    alphas = [0] * (n + 1)
-    alphas[n] = p.x_rows
-    for i in range(1, n):
-        known = p.known_stack(i + 1, n - 1, 2, i + 1)
-        with_bottom = vstack([known, p.known_stack(n, n, 2, i + 1)])
-        alphas[i] = rank(with_bottom) - rank(known)
-
-    betas = [0] * (n + 1)
-    betas[1] = rank(p.known_stack(1, n - 1, 1, 1))
-    for j in range(2, n + 1):
-        betas[j] = (rank(p.known_stack(j, n - 1, 1, j))
-                    - rank(p.known_stack(j, n - 1, 2, j)))
-
-    dimension = sum((alphas[i] - alphas[i - 1]) * (betas[j - 1] - betas[j])
+    bc, cd, c = zip(*((rank(hstack([h.B, h.C])), rank(vstack([h.C, h.D])), rank(h.C))
+                      for h in p.hankel))
+    alphas = (0, *(cd[i] - c[i] for i in range(1, n)), p.x_rows)
+    betas = tuple(bc[k] - c[k] for k in range(n))
+    dimension = sum((alphas[i] - alphas[i - 1]) * (betas[j - 2] - betas[j - 1])
                     for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    opt = tuple(r_opt(hankel_subproblem(p, k)) for k in range(1, n + 1))
-    return OverlapSolutionSet(chains=chains, alphas=tuple(alphas),
-                              betas=tuple(betas[1:]), dimension=dimension,
-                              block_opt_ranks=opt)
+    opt = tuple(bc[k] + cd[k] - c[k] for k in range(n))
+    return OverlapSolutionSet(chains=chains, alphas=alphas, betas=betas,
+                              dimension=dimension, block_opt_ranks=opt)
 
 
 def analyze_overlap(p: BlockProblem) -> OverlapSolutionSet:

@@ -27,17 +27,12 @@ from .matrix import (
     Matrix,
     RankDeficiencyError,
     SingularMatrixError,
-    col_space_contained,
     hstack,
-    inverse,
     max_independent_cols,
     max_independent_rows,
     rank,
     right_inverse,
     left_inverse,
-    row_space_contained,
-    trivial_col_intersection,
-    trivial_row_intersection,
     vstack,
 )
 
@@ -148,13 +143,16 @@ _HYPOTHESIS_TEXT = {
 
 def check_hypotheses(inst: UclInstance) -> HypothesisReport:
     """Evaluate the six admissibility conditions exactly; never raises."""
+    r11, r12, r22 = rank(inst.C11), rank(inst.C12), rank(inst.C22)
+    top = rank(hstack([inst.C11, inst.C12]))
+    right = rank(vstack([inst.C12, inst.C22]))
     return HypothesisReport(
-        b1_cols_reachable=col_space_contained(inst.B1, hstack([inst.C11, inst.C12])),
-        d2_rows_reachable=row_space_contained(inst.D2, vstack([inst.C12, inst.C22])),
-        c11_c12_cols_independent=trivial_col_intersection(inst.C11, inst.C12),
-        c22_c12_rows_independent=trivial_row_intersection(inst.C22, inst.C12),
-        c11_full_column_rank=rank(inst.C11) == inst.C11.cols,
-        c22_full_row_rank=rank(inst.C22) == inst.C22.rows,
+        b1_cols_reachable=rank(hstack([inst.B1, inst.C11, inst.C12])) == top,
+        d2_rows_reachable=rank(vstack([inst.C12, inst.C22, inst.D2])) == right,
+        c11_c12_cols_independent=top == r11 + r12,
+        c22_c12_rows_independent=right == r22 + r12,
+        c11_full_column_rank=r11 == inst.C11.cols,
+        c22_full_row_rank=r22 == inst.C22.rows,
     )
 
 

@@ -106,6 +106,18 @@ def test_dimension_prints_a_bare_integer(tmp_path, capsys):
     assert (code, out, err) == (0, "1\n", "")
 
 
+def test_dimension_skips_the_fill(tmp_path, capsys, monkeypatch):
+    import minrank.overlap as overlap_module
+
+    def explode(*_args, **_kwargs):
+        raise AssertionError("the dimension needs no completion")
+
+    monkeypatch.setattr(overlap_module, "complete_overlap", explode)
+    path = write_json(tmp_path, "p.json", unit_doc())
+    code, out, err = run(capsys, ["dimension", path])
+    assert (code, out, err) == (0, "1\n", "")
+
+
 def test_ranks(tmp_path, capsys):
     path = write_json(tmp_path, "p.json", unit_doc())
     comp = write_json(tmp_path, "x.json", [["1"]])
@@ -192,6 +204,19 @@ def test_malformed_problem_names_the_missing_block(tmp_path, capsys):
     code, _, err = run(capsys, ["solve", path])
     assert code == 2
     assert '"2,2"' in err
+
+
+def test_huge_problem_without_blocks_fails_fast_and_briefly(tmp_path, capsys):
+    n = 2000
+    doc = {"field": "gf(2)", "n": n, "row_sizes": [0] * n, "col_sizes": [0] * n,
+           "blocks": {}}
+    path = write_json(tmp_path, "p.json", doc)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["solve", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert len(err.encode("utf-8")) < 1024
+    assert 'missing blocks "1,1"' in err and "more" in err
 
 
 def test_nonexistent_path(tmp_path, capsys):

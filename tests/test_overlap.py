@@ -14,6 +14,7 @@ from minrank import (
     FieldMismatchError,
     FreeChoiceOverlap,
     Matrix,
+    TwoByTwoProblem,
     analyze,
     analyze_overlap,
     build_chains,
@@ -86,6 +87,15 @@ def test_problem_validation():
             col_sizes=(1, 1),
             blocks={(1, 1): Matrix.from_rows(GF(3), [[1]]), (2, 2): one},
         )
+    # Messages name at most five keys of each kind.
+    empty = Matrix.zeros(field, 0, 0)
+    blocks = {(2, 2): empty, (4, 1): empty, (0, 0): empty, (1, 2): empty,
+              (9, 9): empty, (3, 4): empty, (5, 5): empty, (4, 6): empty}
+    with pytest.raises(DimensionError) as info:
+        BlockProblem(field=field, row_sizes=(0,) * 4, col_sizes=(0,) * 4, blocks=blocks)
+    assert str(info.value) == (
+        'missing blocks "1,1", "2,1", "3,1", "3,2", "3,3" and 3 more; '
+        'unexpected blocks "0,0", "1,2", "3,4", "4,1", "4,6" and 2 more')
 
 
 def test_known_stack_handles_empty_ranges():
@@ -105,6 +115,18 @@ def test_hankel_subproblem_shapes():
         assert sub.B.cols == p.col_size(1)
         assert sub.C.cols == sum(p.col_size(j) for j in range(2, k + 1))
         assert sub.B.rows == sum(p.row_size(i) for i in range(k, 3))
+    # Each block is cut once, and the cut is the three known-block stacks.
+    for trial in range(12):
+        q = rand_block_problem(rng, QQ if trial % 3 == 0 else GF(3), n=2 + trial % 3)
+        n = q.n
+        assert q.hankel is q.hankel and len(q.hankel) == n
+        for k in range(1, n + 1):
+            assert hankel_subproblem(q, k) is q.hankel[k - 1]
+            assert hankel_subproblem(q, k) == TwoByTwoProblem(
+                B=q.known_stack(k, n - 1, 1, 1),
+                C=q.known_stack(k, n - 1, 2, k),
+                D=q.known_stack(n, n, 2, k),
+            )
     with pytest.raises(ValueError):
         hankel_subproblem(p, 0)
     with pytest.raises(ValueError):
@@ -235,6 +257,18 @@ def test_dimension_matches_group_products_and_boundaries():
             assert len(chains.col_group(j)) == before - sol.betas[j - 1]
         for k in range(1, n + 1):
             assert sol.block_opt_ranks[k - 1] == r_opt(hankel_subproblem(p, k))
+        # Reference: the per-stack rank formulas that three ranks per block replaced.
+        stack = p.known_stack
+        alphas = [0] * (n + 1)
+        alphas[n] = p.x_rows
+        for i in range(1, n):
+            known = stack(i + 1, n - 1, 2, i + 1)
+            alphas[i] = rank(vstack([known, stack(n, n, 2, i + 1)])) - rank(known)
+        betas = [rank(stack(1, n - 1, 1, 1))]
+        for j in range(2, n + 1):
+            betas.append(rank(stack(j, n - 1, 1, j)) - rank(stack(j, n - 1, 2, j)))
+        assert sol.alphas == tuple(alphas)
+        assert sol.betas == tuple(betas)
 
 
 # --------------------------------------------------------------- completion

@@ -32,6 +32,8 @@ from minrank import (
     right_inverse,
     row_space_contained,
     solve_ucl,
+    trivial_col_intersection,
+    trivial_row_intersection,
     vstack,
 )
 from minrank.ucl import require_hypotheses
@@ -143,6 +145,38 @@ def test_each_hypothesis_can_fail_alone(index):
 def test_solve_rejects_inadmissible_instances():
     with pytest.raises(HypothesisError):
         solve_ucl(_instance_failing(3))
+
+
+def test_check_hypotheses_matches_the_public_predicates():
+    # Differential check: the seven shared ranks must give the six answers of
+    # the span predicates, on mostly inadmissible instances with empty blocks.
+    rng = random.Random(23)
+    outcomes = set()
+    admissible = 0
+    for trial in range(300):
+        field = (GF(2), GF(3), QQ)[trial % 3]
+        r1, r2, d, b, c1, c2 = (rng.randint(0, 2) for _ in range(6))
+
+        def m(rows, cols):
+            if rng.random() < 0.2:
+                return Matrix.zeros(field, rows, cols)
+            return rand_matrix(rng, field, rows, cols)
+
+        inst = UclInstance(B1=m(r1, b), B2=m(r2, b), C11=m(r1, c1), C12=m(r1, c2),
+                           C21=m(r2, c1), C22=m(r2, c2), D1=m(d, c1), D2=m(d, c2))
+        want = (
+            col_space_contained(inst.B1, hstack([inst.C11, inst.C12])),
+            row_space_contained(inst.D2, vstack([inst.C12, inst.C22])),
+            trivial_col_intersection(inst.C11, inst.C12),
+            trivial_row_intersection(inst.C22, inst.C12),
+            rank(inst.C11) == inst.C11.cols,
+            rank(inst.C22) == inst.C22.rows,
+        )
+        assert check_hypotheses(inst).as_tuple() == want, (trial, inst)
+        outcomes.update(enumerate(want))
+        admissible += all(want)
+    assert len(outcomes) == 12   # every condition both holds and fails
+    assert admissible < 100
 
 
 def test_admissible_generator_agrees_with_checker():
