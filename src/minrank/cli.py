@@ -32,6 +32,8 @@ def _load_json(path: str):
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise files.ProblemFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise files.ProblemFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(doc) -> None:

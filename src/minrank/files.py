@@ -4,7 +4,9 @@ Field elements travel as strings ("3", "-1/2"); a matrix is an array of row
 arrays, or an object {"rows": r, "cols": c, "entries": [row-major]} which is
 required whenever a dimension is zero (a bare nested array cannot express
 0 x k).  Plain JSON integers are accepted as elements for convenience.
-Block keys are "i,j" with 1-based indices.
+Block keys are "i,j" with 1-based indices.  No matrix side, and neither
+total of a problem's block sizes, may exceed ``MAX_SIDE``: a zero-width
+matrix carries no entries, so the file's length does not bound its size.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from .block2x2 import FreeChoice2x2, TwoByTwoProblem, TwoByTwoSolutionSet
 from .fields import Field, field_from_name
 from .matrix import DimensionError, IndexSet, Matrix
 from .overlap import BlockProblem, FreeChoiceOverlap, IndexChains, OverlapSolutionSet
+
+
+MAX_SIDE = 4096
 
 
 class ProblemFormatError(ValueError):
@@ -49,6 +54,9 @@ def matrix_from_json(field: Field, obj: Any, where: str = "matrix") -> Matrix:
             raise ProblemFormatError(f"{where}: object form needs key {exc}") from exc
         if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
             raise ProblemFormatError(f"{where}: rows/cols must be nonnegative integers")
+        if max(rows, cols) > MAX_SIDE:
+            raise ProblemFormatError(f"{where}: {rows}x{cols} exceeds the limit of "
+                                     f"{MAX_SIDE} rows or columns")
         if not isinstance(entries, list) or len(entries) != rows * cols:
             raise ProblemFormatError(
                 f"{where}: expected {rows * cols} entries for {rows}x{cols}")
@@ -127,6 +135,9 @@ def problem_from_json(obj: Any, where: str = "problem") -> BlockProblem:
         raise ProblemFormatError(f"{where}: \"n\" must be an integer >= 2")
     row_sizes = _size_vector(obj, "row_sizes", n, where)
     col_sizes = _size_vector(obj, "col_sizes", n, where)
+    if max(sum(row_sizes), sum(col_sizes)) > MAX_SIDE:
+        raise ProblemFormatError(f"{where}: the block sizes total {sum(row_sizes)} rows "
+                                 f"and {sum(col_sizes)} columns, over the limit of {MAX_SIDE}")
     blocks = _indexed_blocks(obj, field, where)
     try:
         return BlockProblem(field=field, row_sizes=row_sizes, col_sizes=col_sizes,

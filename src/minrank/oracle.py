@@ -9,6 +9,7 @@ path of the construction it is checking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .fields import Field, PrimeField
@@ -50,20 +51,6 @@ class ExhaustiveReport:
     per_block_minimizer_counts: tuple[int, ...]
 
 
-def _rank_vector(p: BlockProblem, X: Matrix) -> tuple[int, ...]:
-    # Local assembly, on purpose: stack the k-th overlapping block from raw
-    # problem data and take ranks; no shared code with the construction.
-    n = p.n
-    out = []
-    for k in range(1, n + 1):
-        strips = []
-        for i in range(k, n):
-            strips.append(hstack([p.block(i, j) for j in range(1, k + 1)]))
-        strips.append(hstack([X] + [p.block(n, j) for j in range(2, k + 1)]))
-        out.append(rank(vstack(strips)))
-    return tuple(out)
-
-
 def require_enumerable(field: Field, exponent: int, budget: int) -> int:
     """The count ``p ** exponent`` of a finite-field enumeration within ``budget``.
 
@@ -82,39 +69,43 @@ def require_enumerable(field: Field, exponent: int, budget: int) -> int:
         base=field.p, exponent=exponent)
 
 
-def _candidates(p: BlockProblem):
-    for (X,) in enumerate_matrices(p.field, [(p.x_rows, p.x_cols)]):
-        yield X
-
-
 def exhaust(p: BlockProblem, budget: int = DEFAULT_BUDGET) -> ExhaustiveReport:
     """All simultaneous minimizers of a small finite-field problem.
 
-    Two sweeps over the p^(entries of X) candidates in lexicographic
-    row-major order: one to find the componentwise minimum rank vector, one
-    to collect statistics and the minimizer set.
+    One sweep over the p^(entries of X) candidates in lexicographic
+    row-major order keeps the running componentwise minimum rank vector.
+    When a candidate lowers some entries, no earlier candidate can attain
+    the new minimum, so the minimizer list and the tallies of those entries
+    start again.
     """
     require_enumerable(p.field, p.x_rows * p.x_cols, budget)
     n = p.n
+    # Local assembly, on purpose: cut each overlapping block's known rows
+    # (block rows k..n-1) and its part of block row n beside X from raw
+    # problem data, once; no shared code with the construction.
+    cuts = []
+    for k in range(1, n + 1):
+        strips = [hstack([p.block(i, j) for j in range(1, k + 1)]) for i in range(k, n)]
+        cuts.append(([vstack(strips)] if strips else [],
+                     [p.block(n, j) for j in range(2, k + 1)]))
 
-    minimum = None
-    for X in _candidates(p):
-        vec = _rank_vector(p, X)
-        minimum = vec if minimum is None else tuple(map(min, minimum, vec))
-
+    minimum = [math.inf] * n
     counts = [0] * n
     minimizers = []
-    for X in _candidates(p):
-        vec = _rank_vector(p, X)
-        for k in range(n):
-            if vec[k] == minimum[k]:
+    for (X,) in enumerate_matrices(p.field, [(p.x_rows, p.x_cols)]):
+        vec = [rank(vstack(known + [hstack([X] + beside)])) for known, beside in cuts]
+        for k, r in enumerate(vec):
+            if r < minimum[k]:
+                minimum[k], counts[k] = r, 0
+                minimizers = []
+            if r == minimum[k]:
                 counts[k] += 1
         if vec == minimum:
             minimizers.append(X)
     if not minimizers:
         raise InternalInvariantError(
             "no candidate attains every per-block minimum simultaneously")
-    return ExhaustiveReport(min_rank_vector=minimum,
+    return ExhaustiveReport(min_rank_vector=tuple(minimum),
                             simultaneous_minimizers=tuple(minimizers),
                             per_block_minimizer_counts=tuple(counts))
 

@@ -235,12 +235,6 @@ class FreeChoiceOverlap:
                 raise DimensionError(
                     f"free block ({i},{j}) must be {want[0]}x{want[1]}, got {m.rows}x{m.cols}")
 
-    def block(self, field: Field, chains: IndexChains, i: int, j: int) -> Matrix:
-        stored = self.blocks.get((i, j))
-        if stored is not None:
-            return stored
-        return Matrix.zeros(field, len(chains.row_group(i)), len(chains.col_group(j)))
-
     def __add__(self, other: "FreeChoiceOverlap") -> "FreeChoiceOverlap":
         merged = dict(self.blocks)
         for key, m in other.blocks.items():
@@ -262,10 +256,8 @@ def complete_overlap(p: BlockProblem, chains: IndexChains,
     f.validate_for(p, chains)
     n = p.n
     X = Matrix.zeros(p.field, p.x_rows, p.x_cols)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            X = X.assign_submatrix(chains.row_group(i), chains.col_group(j),
-                                   f.block(p.field, chains, i, j))
+    for (i, j), m in f.blocks.items():
+        X = X.assign_submatrix(chains.row_group(i), chains.col_group(j), m)
     for i in range(1, n + 1):
         kept = chains.col_chain[i]
         filled = chains.determined_cols(i)

@@ -219,6 +219,32 @@ def test_huge_problem_without_blocks_fails_fast_and_briefly(tmp_path, capsys):
     assert 'missing blocks "1,1"' in err and "more" in err
 
 
+def test_tall_zero_width_problem_is_rejected_at_once(tmp_path, capsys):
+    # Under 200 bytes that declare 6,000,000 rows of zero-width blocks.
+    path = tmp_path / "tall.json"
+    path.write_text(
+        '{"field": "gf(2)", "n": 2, "row_sizes": [3000000, 3000000], "col_sizes": [0, 0], '
+        '"blocks": {"1,1": {"rows": 3000000, "cols": 0, "entries": []}, '
+        '"2,2": {"rows": 3000000, "cols": 0, "entries": []}}}', encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["dimension", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "limit" in err
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000, encoding="utf-8")
+    problem = write_json(tmp_path, "p.json", unit_doc())
+    for argv in (["solve", str(nested)], ["verify", str(nested)],
+                 ["ranks", problem, str(nested)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "nested too deeply" in err
+        assert "Traceback" not in err
+
+
 def test_nonexistent_path(tmp_path, capsys):
     code, _, err = run(capsys, ["solve", str(tmp_path / "absent.json")])
     assert code == 2

@@ -23,6 +23,7 @@ from minrank import (
     hankel_ranks,
 )
 from minrank.files import (
+    MAX_SIDE,
     matrix_from_json,
     matrix_to_json,
     overlap_free_choice_from_json,
@@ -62,6 +63,8 @@ def test_matrix_zero_dimension_object_form():
 def test_matrix_object_form_with_entries():
     obj = {"rows": 2, "cols": 2, "entries": ["1", "2", "3", "4"]}
     assert matrix_from_json(GF(5), obj) == Matrix.from_rows(GF(5), [[1, 2], [3, 4]])
+    tall = {"rows": MAX_SIDE, "cols": 0, "entries": []}
+    assert matrix_from_json(GF(5), tall) == Matrix.zeros(GF(5), MAX_SIDE, 0)
 
 
 @pytest.mark.parametrize("bad, fragment", [
@@ -74,6 +77,8 @@ def test_matrix_object_form_with_entries():
     ({"rows": 1, "cols": 1}, 'object form needs key'),
     ({"rows": -1, "cols": 1, "entries": []}, "nonnegative integers"),
     ({"rows": 2, "cols": 2, "entries": ["1"]}, "expected 4 entries for 2x2"),
+    ({"rows": MAX_SIDE + 1, "cols": 0, "entries": []}, "exceeds the limit of"),
+    ({"rows": 0, "cols": MAX_SIDE + 1, "entries": []}, "exceeds the limit of"),
 ])
 def test_matrix_from_json_rejects(bad, fragment):
     with pytest.raises(ProblemFormatError, match=None) as info:
@@ -125,6 +130,8 @@ def _unit_obj():
     (lambda o: o.update(n=1), '"n" must be an integer >= 2'),
     (lambda o: o.update(row_sizes=[1]), "list of 2 nonnegative integers"),
     (lambda o: o.update(col_sizes=[1, -1]), "list of 2 nonnegative integers"),
+    (lambda o: o.update(row_sizes=[MAX_SIDE, 1]), "over the limit of"),
+    (lambda o: o.update(col_sizes=[1, MAX_SIDE]), "over the limit of"),
     (lambda o: o.update(blocks=[]), '"blocks" must be an object'),
     (lambda o: o["blocks"].pop("2,2"), 'missing blocks "2,2"'),
     (lambda o: o["blocks"].update({"2,1": [["0"]]}), 'unexpected blocks "2,1"'),

@@ -18,7 +18,11 @@ from minrank import (
     dimension_and_ranks,
     exhaust,
     hankel_subproblem,
+    hstack,
+    rank,
+    vstack,
 )
+from minrank.matrix import enumerate_matrices
 from minrank.overlap import build_chains
 
 from gens import rand_block_problem
@@ -100,6 +104,34 @@ def test_min_rank_vector_matches_construction_ranks():
         sol = dimension_and_ranks(p, build_chains(p))
         assert report.min_rank_vector == sol.block_opt_ranks
         assert len(report.simultaneous_minimizers) == 2**sol.dimension
+
+
+def _two_sweep_exhaust(p):
+    # Reference: the plain two-sweep brute force, one sweep for the minimum
+    # and one for the tallies, stacking every block afresh per candidate.
+    def rank_vector(X):
+        return tuple(
+            rank(vstack([hstack([p.block(i, j) for j in range(1, k + 1)])
+                         for i in range(k, p.n)]
+                        + [hstack([X] + [p.block(p.n, j) for j in range(2, k + 1)])]))
+            for k in range(1, p.n + 1))
+
+    candidates = [X for (X,) in enumerate_matrices(p.field, [(p.x_rows, p.x_cols)])]
+    vectors = [rank_vector(X) for X in candidates]
+    minimum = tuple(min(vec[k] for vec in vectors) for k in range(p.n))
+    counts = tuple(sum(vec[k] == minimum[k] for vec in vectors) for k in range(p.n))
+    minimizers = tuple(X for X, vec in zip(candidates, vectors) if vec == minimum)
+    return minimum, counts, minimizers
+
+
+def test_exhaust_matches_the_two_sweep_reference():
+    rng = random.Random(109)
+    for trial in range(240):
+        field = GF(2) if trial % 2 == 0 else GF(3)
+        p = rand_block_problem(rng, field, n=2 + trial % 3, max_size=2, max_x_entries=6)
+        report = exhaust(p)
+        assert (report.min_rank_vector, report.per_block_minimizer_counts,
+                report.simultaneous_minimizers) == _two_sweep_exhaust(p), trial
 
 
 def test_per_block_counts_match_corner_analysis():
