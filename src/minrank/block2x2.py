@@ -184,6 +184,8 @@ def analyze(p: TwoByTwoProblem) -> TwoByTwoSolutionSet:
     """Compute the partitions, dependence coefficients, dimension and base point.
 
     Deterministic: all index selections use the greedy lowest-index rule.
+    :func:`r_opt` is |free_cols| + |free_rows| + rank C: the free columns are
+    the rank[B C] - rank C columns of B independent modulo Col C, rows dually.
     """
     B, C, D = p.B, p.C, p.D
 
@@ -220,7 +222,7 @@ def analyze(p: TwoByTwoProblem) -> TwoByTwoSolutionSet:
         dependent_rows=dependent_rows,
         dependent_col_coeffs=col_coeffs,
         dependent_row_coeffs=row_coeffs,
-        r_opt=r_opt(p),
+        r_opt=len(free_cols) + len(free_rows) + rank(C),
         dimension=dimension,
         base_solution=Matrix.zeros(p.field, p.x_rows, p.x_cols),
     )

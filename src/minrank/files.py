@@ -52,7 +52,7 @@ def matrix_from_json(field: Field, obj: Any, where: str = "matrix") -> Matrix:
             rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         except KeyError as exc:
             raise ProblemFormatError(f"{where}: object form needs key {exc}") from exc
-        if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in (rows, cols)):
             raise ProblemFormatError(f"{where}: rows/cols must be nonnegative integers")
         if max(rows, cols) > MAX_SIDE:
             raise ProblemFormatError(f"{where}: {rows}x{cols} exceeds the limit of "

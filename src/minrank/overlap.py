@@ -301,22 +301,20 @@ class OverlapSolutionSet:
 
 
 def dimension_and_ranks(p: BlockProblem, chains: IndexChains) -> OverlapSolutionSet:
-    """Solution-set dimension from rank differences, plus per-block optima.
+    """Solution-set dimension read from the chain sizes, plus per-block optima.
 
-    Three ranks of each overlapping block k, rank[B C], rank[C;D] and rank C,
-    give everything: alpha_k = rank[C;D] - rank C of block k+1 for
-    k = 1..n-1, with alpha_0 = 0 and alpha_n = rows(X); beta_k =
-    rank[B C] - rank C of block k; and block k's optimum is the sum of the
-    two differences plus rank C.
+    Chain step k keeps the rows of block k's D (columns of its B) independent
+    modulo its C, and the earlier ones stay so, since C_k cut to C_{k-1}'s
+    columns is rows of C_{k-1} (dually for columns).  So alpha_{k-1} =
+    |row_chain[k-1]| = rank[C;D] - rank C and beta_k = |col_chain[k]| =
+    rank[B C] - rank C of block k, and its optimum rank[B C] + rank[C;D] -
+    rank C is beta_k + alpha_{k-1} + rank C: one rank per block.
     """
-    n = p.n
-    bc, cd, c = zip(*((rank(hstack([h.B, h.C])), rank(vstack([h.C, h.D])), rank(h.C))
-                      for h in p.hankel))
-    alphas = (0, *(cd[i] - c[i] for i in range(1, n)), p.x_rows)
-    betas = tuple(bc[k] - c[k] for k in range(n))
+    alphas = tuple(len(s) for s in chains.row_chain)
+    betas = tuple(len(s) for s in chains.col_chain[1:])
     dimension = sum((alphas[i] - alphas[i - 1]) * (betas[j - 2] - betas[j - 1])
-                    for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    opt = tuple(bc[k] + cd[k] - c[k] for k in range(n))
+                    for i in range(1, p.n + 1) for j in range(i + 1, p.n + 1))
+    opt = tuple(betas[k] + alphas[k] + rank(h.C) for k, h in enumerate(p.hankel))
     return OverlapSolutionSet(chains=chains, alphas=alphas, betas=betas,
                               dimension=dimension, block_opt_ranks=opt)
 

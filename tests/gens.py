@@ -47,12 +47,13 @@ def rand_block_problem(
     n: int | None = None,
     max_size: int = 2,
     max_x_entries: int | None = None,
+    min_size: int = 1,
 ) -> BlockProblem:
     if n is None:
         n = rng.choice([2, 3, 4])
     while True:
-        row_sizes = tuple(rng.randint(1, max_size) for _ in range(n))
-        col_sizes = tuple(rng.randint(1, max_size) for _ in range(n))
+        row_sizes = tuple(rng.randint(min_size, max_size) for _ in range(n))
+        col_sizes = tuple(rng.randint(min_size, max_size) for _ in range(n))
         if max_x_entries is None or row_sizes[-1] * col_sizes[0] <= max_x_entries:
             break
     blocks = {

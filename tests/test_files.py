@@ -79,6 +79,8 @@ def test_matrix_object_form_with_entries():
     ({"rows": 2, "cols": 2, "entries": ["1"]}, "expected 4 entries for 2x2"),
     ({"rows": MAX_SIDE + 1, "cols": 0, "entries": []}, "exceeds the limit of"),
     ({"rows": 0, "cols": MAX_SIDE + 1, "entries": []}, "exceeds the limit of"),
+    ({"rows": True, "cols": 1, "entries": ["1"]}, "nonnegative integers"),
+    ({"rows": 1, "cols": False, "entries": []}, "nonnegative integers"),
 ])
 def test_matrix_from_json_rejects(bad, fragment):
     with pytest.raises(ProblemFormatError, match=None) as info:

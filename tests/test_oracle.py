@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -186,3 +187,19 @@ def test_certify_reports_bogus_output(monkeypatch):
     result = certify(zero_problem(field))
     assert not result.ok
     assert "not a simultaneous minimizer" in result.diagnostic
+
+
+def test_certify_reports_a_wrong_block_optimum(monkeypatch):
+    import minrank.oracle as oracle_module
+
+    def off_by_one(p, chains):
+        sol = dimension_and_ranks(p, chains)
+        opt = list(sol.block_opt_ranks)
+        opt[1] += 1
+        return dataclasses.replace(sol, block_opt_ranks=tuple(opt))
+
+    assert certify(unit_problem()).ok
+    monkeypatch.setattr(oracle_module, "dimension_and_ranks", off_by_one)
+    result = certify(unit_problem())
+    assert not result.ok
+    assert result.diagnostic.startswith("block 2:")

@@ -231,14 +231,31 @@ def test_solution_set_zero_problem():
     assert sol.base_solution == Matrix.zeros(GF(5), 1, 1)
 
 
-def test_dimension_matches_group_products_and_boundaries():
+def test_dimension_matches_group_products_and_boundaries(monkeypatch):
+    import minrank.overlap as overlap_module
+
+    calls = []
+
+    def counted_rank(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(overlap_module, "rank", counted_rank)
     rng = random.Random(7)
-    for trial in range(25):
-        p = rand_block_problem(rng, QQ if trial % 3 == 0 else GF(2), max_size=2)
+    # (field, smallest block side, largest block side); zero sides give
+    # empty blocks and possibly an empty X.
+    cases = [(QQ if trial % 3 == 0 else GF(2), 1, 2) for trial in range(25)]
+    cases += [(GF(3), 1, 2)] * 15
+    cases += [((GF(2), GF(3), QQ)[trial % 3], 0, 3) for trial in range(30)]
+    for field, min_size, max_size in cases:
+        p = rand_block_problem(rng, field, max_size=max_size, min_size=min_size)
         chains = build_chains(p)
+        calls.clear()
         sol = dimension_and_ranks(p, chains)
-        assert sol.base_solution is None
         n = p.n
+        # The chain sizes hold the alphas and betas: one rank per block.
+        assert len(calls) <= n
+        assert sol.base_solution is None
         assert len(sol.alphas) == n + 1
         assert len(sol.betas) == n
         assert sol.alphas[0] == 0
@@ -257,7 +274,7 @@ def test_dimension_matches_group_products_and_boundaries():
             assert len(chains.col_group(j)) == before - sol.betas[j - 1]
         for k in range(1, n + 1):
             assert sol.block_opt_ranks[k - 1] == r_opt(hankel_subproblem(p, k))
-        # Reference: the per-stack rank formulas that three ranks per block replaced.
+        # Reference: per-stack rank differences, independent of the chains.
         stack = p.known_stack
         alphas = [0] * (n + 1)
         alphas[n] = p.x_rows
