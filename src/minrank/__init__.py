@@ -20,7 +20,6 @@ from .fields import (
 from .matrix import (
     DimensionError,
     InconsistentSystemError,
-    IndexSet,
     Matrix,
     RankDeficiencyError,
     SingularMatrixError,

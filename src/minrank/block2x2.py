@@ -41,7 +41,6 @@ from typing import Iterator
 from .fields import Field, require_same_field
 from .matrix import (
     DimensionError,
-    IndexSet,
     InconsistentSystemError,
     Matrix,
     enumerate_matrices,
@@ -52,6 +51,7 @@ from .matrix import (
     solve_left,
     solve_right,
     vstack,
+    without,
 )
 from .ucl import HypothesisError, InternalInvariantError, UclInstance, solve_ucl
 
@@ -110,12 +110,12 @@ class TwoByTwoSolutionSet:
     dually with D(dependent, :) = coeffs @ D(basis, :).  Both are unique.
     """
 
-    free_cols: IndexSet
-    aux_basis_cols: IndexSet
-    dependent_cols: IndexSet
-    free_rows: IndexSet
-    aux_basis_rows: IndexSet
-    dependent_rows: IndexSet
+    free_cols: tuple[int, ...]
+    aux_basis_cols: tuple[int, ...]
+    dependent_cols: tuple[int, ...]
+    free_rows: tuple[int, ...]
+    aux_basis_rows: tuple[int, ...]
+    dependent_rows: tuple[int, ...]
     dependent_col_coeffs: Matrix
     dependent_row_coeffs: Matrix
     r_opt: int
@@ -123,20 +123,12 @@ class TwoByTwoSolutionSet:
     base_solution: Matrix
 
     @property
-    def basis_cols(self) -> IndexSet:
-        return self.free_cols.union(self.aux_basis_cols)
+    def basis_cols(self) -> tuple[int, ...]:
+        return tuple(sorted(self.free_cols + self.aux_basis_cols))
 
     @property
-    def basis_rows(self) -> IndexSet:
-        return self.free_rows.union(self.aux_basis_rows)
-
-    @property
-    def col_partition(self) -> tuple[IndexSet, IndexSet, IndexSet]:
-        return (self.dependent_cols, self.aux_basis_cols, self.free_cols)
-
-    @property
-    def row_partition(self) -> tuple[IndexSet, IndexSet, IndexSet]:
-        return (self.free_rows, self.aux_basis_rows, self.dependent_rows)
+    def basis_rows(self) -> tuple[int, ...]:
+        return tuple(sorted(self.free_rows + self.aux_basis_rows))
 
 
 @dataclass(frozen=True)
@@ -190,23 +182,21 @@ def analyze(p: TwoByTwoProblem) -> TwoByTwoSolutionSet:
     B, C, D = p.B, p.C, p.D
 
     free_cols = minimal_spanning_columns(B, C)
-    col_rest = free_cols.complement()
+    col_rest = without(range(p.x_cols), free_cols)
     rel_cols = minimal_spanning_columns(B.submatrix(cols=col_rest),
                                         B.submatrix(cols=free_cols))
-    aux_basis_cols = IndexSet.from_iterable(
-        (col_rest.indices[k] for k in rel_cols), p.x_cols)
-    dependent_cols = col_rest.difference(aux_basis_cols)
+    aux_basis_cols = tuple(col_rest[k] for k in rel_cols)
+    dependent_cols = without(col_rest, aux_basis_cols)
 
     free_rows = minimal_spanning_rows(D, C)
-    row_rest = free_rows.complement()
+    row_rest = without(range(p.x_rows), free_rows)
     rel_rows = minimal_spanning_rows(D.submatrix(rows=row_rest),
                                      D.submatrix(rows=free_rows))
-    aux_basis_rows = IndexSet.from_iterable(
-        (row_rest.indices[k] for k in rel_rows), p.x_rows)
-    dependent_rows = row_rest.difference(aux_basis_rows)
+    aux_basis_rows = tuple(row_rest[k] for k in rel_rows)
+    dependent_rows = without(row_rest, aux_basis_rows)
 
-    basis_cols = free_cols.union(aux_basis_cols)
-    basis_rows = free_rows.union(aux_basis_rows)
+    basis_cols = tuple(sorted(free_cols + aux_basis_cols))
+    basis_rows = tuple(sorted(free_rows + aux_basis_rows))
     col_coeffs = solve_right(B.submatrix(cols=basis_cols), B.submatrix(cols=dependent_cols))
     row_coeffs = solve_left(D.submatrix(rows=basis_rows), D.submatrix(rows=dependent_rows))
 
@@ -248,8 +238,8 @@ def complete(p: TwoByTwoProblem, s: TwoByTwoSolutionSet, f: FreeChoice2x2) -> Ma
 
     # Every non-free row of [X D] equals its unique free-row combination plus
     # a row of [B C]; the free-row coefficients depend only on D and C.
-    other_rows = s.aux_basis_rows.union(s.dependent_rows)
-    other_cols = s.dependent_cols.union(s.aux_basis_cols)
+    other_rows = without(range(p.x_rows), s.free_rows)
+    other_cols = without(range(p.x_cols), s.free_cols)
     d_free = D.submatrix(rows=s.free_rows)
     d_other = D.submatrix(rows=other_rows)
     try:

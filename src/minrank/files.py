@@ -15,7 +15,7 @@ from typing import Any, Mapping, Optional
 
 from .block2x2 import FreeChoice2x2, TwoByTwoProblem, TwoByTwoSolutionSet
 from .fields import Field, field_from_name
-from .matrix import DimensionError, IndexSet, Matrix
+from .matrix import DimensionError, Matrix
 from .overlap import BlockProblem, FreeChoiceOverlap, IndexChains, OverlapSolutionSet
 
 
@@ -168,10 +168,6 @@ def overlap_free_choice_from_json(obj: Any, p: BlockProblem, chains: IndexChains
     return choice
 
 
-def _index_list(s: IndexSet) -> list[int]:
-    return list(s.indices)
-
-
 def solution_to_json(p: BlockProblem, sol: OverlapSolutionSet, completion: Matrix,
                      enumerated: Optional[list[Matrix]] = None) -> dict:
     chains = sol.chains
@@ -184,9 +180,9 @@ def solution_to_json(p: BlockProblem, sol: OverlapSolutionSet, completion: Matri
         "betas": list(sol.betas),
         "block_opt_ranks": list(sol.block_opt_ranks),
         "partition": {
-            "row_groups": [_index_list(chains.row_group(i))
+            "row_groups": [list(chains.row_group(i))
                            for i in range(1, chains.n + 1)],
-            "col_groups": [_index_list(chains.col_group(j))
+            "col_groups": [list(chains.col_group(j))
                            for j in range(1, chains.n + 1)],
         },
     }
@@ -243,14 +239,14 @@ def two_by_two_solution_to_json(p: TwoByTwoProblem, s: TwoByTwoSolutionSet,
         "r_opt": s.r_opt,
         "dimension": s.dimension,
         "row_partition": {
-            "free": _index_list(s.free_rows),
-            "aux_basis": _index_list(s.aux_basis_rows),
-            "dependent": _index_list(s.dependent_rows),
+            "free": list(s.free_rows),
+            "aux_basis": list(s.aux_basis_rows),
+            "dependent": list(s.dependent_rows),
         },
         "col_partition": {
-            "free": _index_list(s.free_cols),
-            "aux_basis": _index_list(s.aux_basis_cols),
-            "dependent": _index_list(s.dependent_cols),
+            "free": list(s.free_cols),
+            "aux_basis": list(s.aux_basis_cols),
+            "dependent": list(s.dependent_cols),
         },
         "base_solution": matrix_to_json(s.base_solution),
         "completion": matrix_to_json(completion),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .fields import Field, Scalar, require_same_field
 
@@ -32,76 +32,23 @@ class InconsistentSystemError(ValueError):
     """A linear system required to be solvable has no solution."""
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """A strictly increasing tuple of indices inside a fixed universe."""
-
-    indices: tuple[int, ...]
-    universe_size: int
-
-    def __post_init__(self):
-        last = -1
-        for i in self.indices:
-            if not isinstance(i, int) or i <= last:
-                raise ValueError(f"indices must be strictly increasing, got {self.indices}")
-            last = i
-        if last >= self.universe_size:
-            raise ValueError(f"index {last} outside universe of size {self.universe_size}")
-
-    @classmethod
-    def from_iterable(cls, items: Iterable[int], universe_size: int) -> "IndexSet":
-        return cls(tuple(sorted(set(items))), universe_size)
-
-    @classmethod
-    def empty(cls, universe_size: int) -> "IndexSet":
-        return cls((), universe_size)
-
-    @classmethod
-    def full(cls, universe_size: int) -> "IndexSet":
-        return cls(tuple(range(universe_size)), universe_size)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.indices
-
-    def _check_same_universe(self, other: "IndexSet") -> None:
-        if self.universe_size != other.universe_size:
-            raise DimensionError("index sets live in different universes")
-
-    def union(self, other: "IndexSet") -> "IndexSet":
-        self._check_same_universe(other)
-        return IndexSet.from_iterable(set(self.indices) | set(other.indices), self.universe_size)
-
-    def difference(self, other: "IndexSet") -> "IndexSet":
-        self._check_same_universe(other)
-        return IndexSet.from_iterable(set(self.indices) - set(other.indices), self.universe_size)
-
-    def complement(self) -> "IndexSet":
-        present = set(self.indices)
-        return IndexSet(tuple(i for i in range(self.universe_size) if i not in present),
-                        self.universe_size)
-
-
-Indexish = Union[IndexSet, Sequence[int], None]
+Indexish = Optional[Sequence[int]]
 
 
 def _as_indices(sel: Indexish, size: int) -> tuple[int, ...]:
     if sel is None:
         return tuple(range(size))
-    if isinstance(sel, IndexSet):
-        if sel.universe_size != size:
-            raise DimensionError(f"index universe {sel.universe_size} does not match axis size {size}")
-        return sel.indices
     out = tuple(sel)
     for i in out:
         if not 0 <= i < size:
             raise DimensionError(f"index {i} outside axis of size {size}")
     return out
+
+
+def without(items: Iterable[int], drop: Iterable[int]) -> tuple[int, ...]:
+    """``items`` in order, less ``drop``."""
+    dropped = set(drop)
+    return tuple(i for i in items if i not in dropped)
 
 
 @dataclass(frozen=True)
@@ -294,7 +241,7 @@ def enumerate_matrices(field: Field,
 
 class RrefResult(NamedTuple):
     reduced: Matrix
-    pivots: IndexSet
+    pivots: tuple[int, ...]
     transform: Matrix
 
 
@@ -357,7 +304,7 @@ def rref(m: Matrix) -> RrefResult:
     """
     pivots, a, t = _eliminate(m, reduce=True)
     return RrefResult(Matrix(m.field, m.rows, m.cols, tuple(map(tuple, a))),
-                      IndexSet(pivots, m.cols),
+                      pivots,
                       Matrix(m.field, m.rows, m.rows, tuple(map(tuple, t))))
 
 
@@ -375,17 +322,17 @@ def inverse(m: Matrix) -> Matrix:
     return result.transform
 
 
-def max_independent_rows(m: Matrix) -> IndexSet:
+def max_independent_rows(m: Matrix) -> tuple[int, ...]:
     """Greedy lowest-index maximal linearly independent subset of rows."""
-    return IndexSet(_eliminate(m.transpose())[0], m.rows)
+    return _eliminate(m.transpose())[0]
 
 
-def max_independent_cols(m: Matrix) -> IndexSet:
+def max_independent_cols(m: Matrix) -> tuple[int, ...]:
     """Greedy lowest-index maximal linearly independent subset of columns."""
-    return IndexSet(_eliminate(m)[0], m.cols)
+    return _eliminate(m)[0]
 
 
-def minimal_spanning_columns(extra: Matrix, anchor: Matrix) -> IndexSet:
+def minimal_spanning_columns(extra: Matrix, anchor: Matrix) -> tuple[int, ...]:
     """Greedy minimal column set of ``extra`` spanning it modulo ``anchor``.
 
     Selected set S is the lexicographically first minimal one with
@@ -398,10 +345,10 @@ def minimal_spanning_columns(extra: Matrix, anchor: Matrix) -> IndexSet:
     joined = Matrix(field, extra.rows, anchor.cols + extra.cols,
                     tuple(a + e for a, e in zip(anchor.data, extra.data)))
     pivots = _eliminate(joined)[0]
-    return IndexSet(tuple(j - anchor.cols for j in pivots if j >= anchor.cols), extra.cols)
+    return tuple(j - anchor.cols for j in pivots if j >= anchor.cols)
 
 
-def minimal_spanning_rows(extra: Matrix, anchor: Matrix) -> IndexSet:
+def minimal_spanning_rows(extra: Matrix, anchor: Matrix) -> tuple[int, ...]:
     """Transpose-dual of :func:`minimal_spanning_columns`."""
     return minimal_spanning_columns(extra.transpose(), anchor.transpose())
 

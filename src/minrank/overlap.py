@@ -24,7 +24,6 @@ from typing import Iterator, Mapping, Optional
 from .fields import Field, require_same_field
 from .matrix import (
     DimensionError,
-    IndexSet,
     Matrix,
     enumerate_matrices,
     hstack,
@@ -32,6 +31,7 @@ from .matrix import (
     minimal_spanning_rows,
     rank,
     vstack,
+    without,
 )
 from .ucl import HypothesisError, InternalInvariantError, UclInstance, solve_ucl
 from .block2x2 import TwoByTwoProblem, analyze
@@ -152,36 +152,37 @@ class IndexChains:
     ``col_chain[j-1] - col_chain[j]``.
     """
 
-    col_chain: tuple[IndexSet, ...]
-    row_chain: tuple[IndexSet, ...]
+    col_chain: tuple[tuple[int, ...], ...]
+    row_chain: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.col_chain) != len(self.row_chain) or len(self.col_chain) < 3:
+        cols, rows = self.col_chain, self.row_chain
+        if len(cols) != len(rows) or len(cols) < 3:
             raise DimensionError("chains must both have n + 1 entries with n >= 2")
         n = self.n
-        if len(self.col_chain[0]) != self.col_chain[0].universe_size or len(self.col_chain[n]) != 0:
+        if cols[0] != tuple(range(len(cols[0]))) or cols[n]:
             raise ValueError("column chain must start full and end empty")
-        if len(self.row_chain[0]) != 0 or len(self.row_chain[n]) != self.row_chain[n].universe_size:
+        if rows[0] or rows[n] != tuple(range(len(rows[n]))):
             raise ValueError("row chain must start empty and end full")
         for i in range(n):
-            if set(self.col_chain[i + 1].indices) - set(self.col_chain[i].indices):
+            if not set(cols[i + 1]) <= set(cols[i]):
                 raise ValueError("column chain is not nested")
-            if set(self.row_chain[i].indices) - set(self.row_chain[i + 1].indices):
+            if not set(rows[i]) <= set(rows[i + 1]):
                 raise ValueError("row chain is not nested")
 
     @property
     def n(self) -> int:
         return len(self.col_chain) - 1
 
-    def row_group(self, i: int) -> IndexSet:
-        return self.row_chain[i].difference(self.row_chain[i - 1])
+    def row_group(self, i: int) -> tuple[int, ...]:
+        return without(self.row_chain[i], self.row_chain[i - 1])
 
-    def col_group(self, j: int) -> IndexSet:
-        return self.col_chain[j - 1].difference(self.col_chain[j])
+    def col_group(self, j: int) -> tuple[int, ...]:
+        return without(self.col_chain[j - 1], self.col_chain[j])
 
-    def determined_cols(self, i: int) -> IndexSet:
+    def determined_cols(self, i: int) -> tuple[int, ...]:
         """Columns outside ``col_chain[i]``: the span of column groups 1..i."""
-        return self.col_chain[i].complement()
+        return without(self.col_chain[0], self.col_chain[i])
 
 
 def build_chains(p: BlockProblem) -> IndexChains:
@@ -195,23 +196,21 @@ def build_chains(p: BlockProblem) -> IndexChains:
     against the known rows below block row i.
     """
     n, hankel = p.n, p.hankel
-    col_chain: list[Optional[IndexSet]] = [None] * (n + 1)
-    col_chain[n] = IndexSet.empty(p.x_cols)
-    col_chain[0] = IndexSet.full(p.x_cols)
+    col_chain: list[tuple[int, ...]] = [()] * (n + 1)
+    col_chain[0] = tuple(range(p.x_cols))
     for i in range(n - 1, 0, -1):
         extra = hankel[i - 1].B
         anchor = hstack([extra.submatrix(cols=col_chain[i + 1]), hankel[i - 1].C])
         selected = minimal_spanning_columns(extra, anchor)
-        col_chain[i] = col_chain[i + 1].union(selected)
+        col_chain[i] = tuple(sorted(col_chain[i + 1] + selected))
 
-    row_chain: list[Optional[IndexSet]] = [None] * (n + 1)
-    row_chain[0] = IndexSet.empty(p.x_rows)
-    row_chain[n] = IndexSet.full(p.x_rows)
+    row_chain: list[tuple[int, ...]] = [()] * (n + 1)
+    row_chain[n] = tuple(range(p.x_rows))
     for i in range(1, n):
         extra = hankel[i].D
         anchor = vstack([hankel[i].C, extra.submatrix(rows=row_chain[i - 1])])
         selected = minimal_spanning_rows(extra, anchor)
-        row_chain[i] = row_chain[i - 1].union(selected)
+        row_chain[i] = tuple(sorted(row_chain[i - 1] + selected))
 
     return IndexChains(tuple(col_chain), tuple(row_chain))
 

@@ -4,12 +4,12 @@ Every generator takes an explicit ``random.Random`` so any failure is
 reproducible from the seed alone.  Admissible instances are built
 constructively (then re-checked) rather than by rejection over the full
 space, which keeps admissible-case generation cheap even over tiny fields.
+Scalar and matrix draws are those of ``scripts/random_problem.py``.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from minrank import (
     BlockProblem,
@@ -18,7 +18,6 @@ from minrank import (
     FreeChoiceOverlap,
     IndexChains,
     Matrix,
-    PrimeField,
     TwoByTwoProblem,
     TwoByTwoSolutionSet,
     UclInstance,
@@ -27,18 +26,7 @@ from minrank import (
     rank,
     vstack,
 )
-
-
-def rand_scalar(rng: random.Random, field: Field):
-    if isinstance(field, PrimeField):
-        return rng.randrange(field.p)
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-
-
-def rand_matrix(rng: random.Random, field: Field, rows: int, cols: int) -> Matrix:
-    return Matrix.from_flat(
-        field, rows, cols, [rand_scalar(rng, field) for _ in range(rows * cols)]
-    )
+from random_problem import rand_matrix
 
 
 def rand_block_problem(

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -325,7 +327,9 @@ def test_installed_entry_point():
 
 def test_module_entry_point(tmp_path):
     path = write_json(tmp_path, "p.json", unit_doc())
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-m", "minrank.cli", "dimension", path],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert proc.stdout == "1\n"

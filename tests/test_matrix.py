@@ -15,7 +15,6 @@ from minrank import (
     QQ,
     DimensionError,
     FieldMismatchError,
-    IndexSet,
     InconsistentSystemError,
     Matrix,
     RankDeficiencyError,
@@ -38,6 +37,7 @@ from minrank import (
     trivial_row_intersection,
     vstack,
 )
+from minrank.matrix import without
 
 from gens import rand_matrix
 
@@ -121,9 +121,7 @@ def test_stacking():
 
 def test_submatrix_and_assign():
     eye = Matrix.identity(QQ, 3)
-    picked = eye.submatrix(rows=IndexSet.from_iterable([0, 2], 3),
-                           cols=IndexSet.from_iterable([0, 2], 3))
-    assert picked == Matrix.identity(QQ, 2)
+    assert eye.submatrix(rows=(0, 2), cols=range(0, 3, 2)) == Matrix.identity(QQ, 2)
     assert eye.submatrix(rows=[1]) == q([[0, 1, 0]])
     assert eye.submatrix() == eye
     stamped = eye.assign_submatrix([0, 2], [1], q([[7], [8]]))
@@ -131,20 +129,17 @@ def test_submatrix_and_assign():
     assert eye[0, 1] == 0  # original untouched
     with pytest.raises(DimensionError):
         eye.assign_submatrix([0], [1], q([[7], [8]]))
-
-
-def test_index_set():
-    s = IndexSet.from_iterable([3, 1, 1], 5)
-    assert tuple(s) == (1, 3)
-    assert len(s) == 2
-    assert 3 in s and 0 not in s
-    assert tuple(s.complement()) == (0, 2, 4)
-    assert tuple(s.union(IndexSet.from_iterable([0], 5))) == (0, 1, 3)
-    assert tuple(s.difference(IndexSet.from_iterable([3], 5))) == (1,)
-    assert len(IndexSet.empty(4)) == 0
-    assert tuple(IndexSet.full(3)) == (0, 1, 2)
-    with pytest.raises(ValueError):
-        IndexSet.from_iterable([5], 5)
+    for bad in (3, -1):
+        with pytest.raises(DimensionError):
+            eye.submatrix(rows=[0, bad])
+        with pytest.raises(DimensionError):
+            eye.submatrix(cols=(bad,))
+        with pytest.raises(DimensionError):
+            eye.assign_submatrix([bad], [0], q([[7]]))
+        with pytest.raises(DimensionError):
+            eye.assign_submatrix([0], [bad], q([[7]]))
+    assert without((4, 0, 3, 1), (3, 9)) == (4, 0, 1)
+    assert without(range(5), ()) == (0, 1, 2, 3, 4)
 
 
 # ---------------------------------------------------------------- rref/rank

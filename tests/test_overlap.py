@@ -13,6 +13,7 @@ from minrank import (
     DimensionError,
     FieldMismatchError,
     FreeChoiceOverlap,
+    IndexChains,
     Matrix,
     TwoByTwoProblem,
     analyze,
@@ -168,6 +169,22 @@ def test_chains_zero_problem():
         assert tuple(chains.col_group(1)) == (0,)
 
 
+def test_chains_reject_malformed_selections():
+    cols, rows = ((0, 1), (1,), ()), ((), (0,), (0, 1))
+    assert IndexChains(cols, rows).n == 2
+    bad = [
+        (((1,), (1,), ()), rows, "column chain must start full"),
+        (((0, 1), (1,), (1,)), rows, "column chain must start full and end empty"),
+        (cols, ((0,), (0,), (0, 1)), "row chain must start empty"),
+        (cols, ((), (), (1,)), "row chain must start empty and end full"),
+        (((0, 1), (1,), (0,), ()), ((), (0,), (0,), (0, 1)), "column chain is not nested"),
+        (((0, 1), (1,), (1,), ()), ((), (1,), (0,), (0, 1)), "row chain is not nested"),
+    ]
+    for col_chain, row_chain, message in bad:
+        with pytest.raises(ValueError, match=message):
+            IndexChains(col_chain, row_chain)
+
+
 def _col_condition_rank(p, i, selected):
     # stacked rows i..n-1: first column block restricted to the selected
     # columns next to the fully known column blocks 2..i
@@ -194,7 +211,7 @@ def test_chains_satisfy_span_conditions_minimally():
             full = _col_condition_rank(p, i, None)
             assert _col_condition_rank(p, i, sel) == full
             # minimal superset of the next chain element
-            newer = chains.col_chain[i].difference(chains.col_chain[i + 1])
+            newer = set(chains.col_chain[i]) - set(chains.col_chain[i + 1])
             for drop in newer:
                 smaller = [c for c in sel if c != drop]
                 assert _col_condition_rank(p, i, smaller) < full
@@ -202,7 +219,7 @@ def test_chains_satisfy_span_conditions_minimally():
             sel = chains.row_chain[i]
             full = _row_condition_rank(p, i, None)
             assert _row_condition_rank(p, i, sel) == full
-            newer = chains.row_chain[i].difference(chains.row_chain[i - 1])
+            newer = set(chains.row_chain[i]) - set(chains.row_chain[i - 1])
             for drop in newer:
                 smaller = [r for r in sel if r != drop]
                 assert _row_condition_rank(p, i, smaller) < full
@@ -357,7 +374,7 @@ def test_row_saturation_along_row_chain():
         x = complete_overlap(p, chains, f)
         for i in range(1, p.n):
             inside = chains.row_chain[i]
-            outside = inside.complement()
+            outside = sorted(set(range(p.x_rows)) - set(inside))
             strip = p.known_stack(p.n, p.n, 2, i + 1)
             extra = hstack([x.submatrix(rows=outside), strip.submatrix(rows=outside)])
             kept = hstack([x.submatrix(rows=inside), strip.submatrix(rows=inside)])
@@ -378,7 +395,7 @@ def test_column_saturation_along_column_chain():
         x = complete_overlap(p, chains, f)
         for i in range(1, p.n):
             inside = chains.col_chain[i]
-            outside = inside.complement()
+            outside = sorted(set(range(p.x_cols)) - set(inside))
             tall = vstack([p.block(r, 1) for r in range(i, p.n)] + [x])
             extra = tall.submatrix(cols=outside)
             kept = tall.submatrix(cols=inside)
