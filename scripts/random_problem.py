@@ -30,17 +30,22 @@ def rand_matrix(rng, field, rows, cols):
                             [rand_scalar(rng, field) for _ in range(rows * cols)])
 
 
-def rand_problem(rng, field, n, max_size):
-    row_sizes = tuple(rng.randint(1, max_size) for _ in range(n))
-    col_sizes = tuple(rng.randint(1, max_size) for _ in range(n))
-    blocks = {
+def rand_blocks(rng, field, row_sizes, col_sizes):
+    """Random known blocks, keyed (i, j), of a problem on the given block grid."""
+    n = len(row_sizes)
+    return {
         (i, j): rand_matrix(rng, field, row_sizes[i - 1], col_sizes[j - 1])
         for i in range(1, n + 1)
         for j in range(1, i + 1)
         if (i, j) != (n, 1)
     }
+
+
+def rand_problem(rng, field, n, max_size):
+    row_sizes = tuple(rng.randint(1, max_size) for _ in range(n))
+    col_sizes = tuple(rng.randint(1, max_size) for _ in range(n))
     return BlockProblem(field=field, row_sizes=row_sizes, col_sizes=col_sizes,
-                        blocks=blocks)
+                        blocks=rand_blocks(rng, field, row_sizes, col_sizes))
 
 
 def main(argv=None) -> int:

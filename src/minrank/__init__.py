@@ -53,7 +53,7 @@ from .ucl import (
     solve_ucl,
 )
 from .block2x2 import (
-    FreeChoice2x2,
+    FreeChoice,
     TwoByTwoProblem,
     TwoByTwoSolutionSet,
     analyze,
@@ -63,7 +63,6 @@ from .block2x2 import (
 )
 from .overlap import (
     BlockProblem,
-    FreeChoiceOverlap,
     IndexChains,
     OverlapSolutionSet,
     analyze_overlap,

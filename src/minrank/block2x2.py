@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Hashable, Iterator, Mapping
 
 from .fields import Field, require_same_field
 from .matrix import (
@@ -49,7 +49,6 @@ from .matrix import (
     minimal_spanning_rows,
     rank,
     solve_left,
-    solve_right,
     vstack,
     without,
 )
@@ -103,12 +102,7 @@ def is_minimal(p: TwoByTwoProblem, X: Matrix) -> bool:
 
 @dataclass(frozen=True)
 class TwoByTwoSolutionSet:
-    """Partitions, dependence coefficients, and dimension of the solution set.
-
-    ``dependent_col_coeffs`` expresses B's dependent columns in the basis
-    columns: B(:, dependent) = B(:, basis) @ coeffs; ``dependent_row_coeffs``
-    dually with D(dependent, :) = coeffs @ D(basis, :).  Both are unique.
-    """
+    """Partitions, dimension and base point of the solution set."""
 
     free_cols: tuple[int, ...]
     aux_basis_cols: tuple[int, ...]
@@ -116,64 +110,61 @@ class TwoByTwoSolutionSet:
     free_rows: tuple[int, ...]
     aux_basis_rows: tuple[int, ...]
     dependent_rows: tuple[int, ...]
-    dependent_col_coeffs: Matrix
-    dependent_row_coeffs: Matrix
     r_opt: int
     dimension: int
     base_solution: Matrix
 
-    @property
-    def basis_cols(self) -> tuple[int, ...]:
-        return tuple(sorted(self.free_cols + self.aux_basis_cols))
 
-    @property
-    def basis_rows(self) -> tuple[int, ...]:
-        return tuple(sorted(self.free_rows + self.aux_basis_rows))
+class FreeChoice(dict):
+    """Values for the free blocks of X, keyed as in the problem's shape table.
 
+    A missing block is zero.  The tables are :func:`free_shapes` here and
+    :func:`minrank.overlap.free_shapes` for the overlapping problem.
+    """
 
-@dataclass(frozen=True)
-class FreeChoice2x2:
-    """Values for the five free blocks of the hook region."""
-
-    free_rows_dependent_cols: Matrix
-    free_rows_aux_cols: Matrix
-    free_rows_free_cols: Matrix
-    aux_rows_free_cols: Matrix
-    dependent_rows_free_cols: Matrix
-
-    @staticmethod
-    def block_shapes(s: TwoByTwoSolutionSet) -> dict[str, tuple[int, int]]:
-        return {
-            "free_rows_dependent_cols": (len(s.free_rows), len(s.dependent_cols)),
-            "free_rows_aux_cols": (len(s.free_rows), len(s.aux_basis_cols)),
-            "free_rows_free_cols": (len(s.free_rows), len(s.free_cols)),
-            "aux_rows_free_cols": (len(s.aux_basis_rows), len(s.free_cols)),
-            "dependent_rows_free_cols": (len(s.dependent_rows), len(s.free_cols)),
-        }
-
-    @classmethod
-    def zeros(cls, field: Field, s: TwoByTwoSolutionSet) -> "FreeChoice2x2":
-        return cls(**{name: Matrix.zeros(field, r, c)
-                      for name, (r, c) in cls.block_shapes(s).items()})
-
-    def validate_for(self, s: TwoByTwoSolutionSet) -> None:
-        for name, (r, c) in self.block_shapes(s).items():
-            block = getattr(self, name)
-            if (block.rows, block.cols) != (r, c):
+    def validate(self, field: Field, shapes: Mapping[Hashable, tuple[int, int]]) -> None:
+        for key, m in self.items():
+            if key not in shapes:
+                raise DimensionError(f"unknown free block {key}")
+            require_same_field(field, m.field)
+            r, c = shapes[key]
+            if (m.rows, m.cols) != (r, c):
                 raise DimensionError(
-                    f"free block {name} must be {r}x{c}, got {block.rows}x{block.cols}")
+                    f"free block {key} must be {r}x{c}, got {m.rows}x{m.cols}")
 
-    def blocks(self) -> tuple[Matrix, ...]:
-        return (self.free_rows_dependent_cols, self.free_rows_aux_cols,
-                self.free_rows_free_cols, self.aux_rows_free_cols,
-                self.dependent_rows_free_cols)
+    def __add__(self, other: Mapping[Hashable, Matrix]) -> "FreeChoice":
+        merged = FreeChoice(self)
+        for key, m in other.items():
+            merged[key] = merged[key] + m if key in merged else m
+        return merged
 
-    def __add__(self, other: "FreeChoice2x2") -> "FreeChoice2x2":
-        return FreeChoice2x2(*(a + b for a, b in zip(self.blocks(), other.blocks())))
+
+def enumerate_free_choices(field: Field, shapes: Mapping[Hashable, tuple[int, int]]
+                           ) -> Iterator[FreeChoice]:
+    """All free choices over a finite field, lexicographic in block-then-entry
+    order: the blocks in the table's order, each row-major."""
+    for blocks in enumerate_matrices(field, list(shapes.values())):
+        yield FreeChoice(zip(shapes, blocks))
+
+
+def _free_blocks(s: TwoByTwoSolutionSet) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The five blocks of the hook as (rows, cols) of X, in enumeration order."""
+    return {
+        "free_rows_dependent_cols": (s.free_rows, s.dependent_cols),
+        "free_rows_aux_cols": (s.free_rows, s.aux_basis_cols),
+        "free_rows_free_cols": (s.free_rows, s.free_cols),
+        "aux_rows_free_cols": (s.aux_basis_rows, s.free_cols),
+        "dependent_rows_free_cols": (s.dependent_rows, s.free_cols),
+    }
+
+
+def free_shapes(s: TwoByTwoSolutionSet) -> dict[str, tuple[int, int]]:
+    """The shape of each free block of :func:`complete`, by block name."""
+    return {name: (len(rows), len(cols)) for name, (rows, cols) in _free_blocks(s).items()}
 
 
 def analyze(p: TwoByTwoProblem) -> TwoByTwoSolutionSet:
-    """Compute the partitions, dependence coefficients, dimension and base point.
+    """Compute the partitions, dimension and base point.
 
     Deterministic: all index selections use the greedy lowest-index rule.
     :func:`r_opt` is |free_cols| + |free_rows| + rank C: the free columns are
@@ -195,11 +186,6 @@ def analyze(p: TwoByTwoProblem) -> TwoByTwoSolutionSet:
     aux_basis_rows = tuple(row_rest[k] for k in rel_rows)
     dependent_rows = without(row_rest, aux_basis_rows)
 
-    basis_cols = tuple(sorted(free_cols + aux_basis_cols))
-    basis_rows = tuple(sorted(free_rows + aux_basis_rows))
-    col_coeffs = solve_right(B.submatrix(cols=basis_cols), B.submatrix(cols=dependent_cols))
-    row_coeffs = solve_left(D.submatrix(rows=basis_rows), D.submatrix(rows=dependent_rows))
-
     dimension = (len(free_rows) * p.x_cols
                  + p.x_rows * len(free_cols)
                  - len(free_rows) * len(free_cols))
@@ -210,31 +196,27 @@ def analyze(p: TwoByTwoProblem) -> TwoByTwoSolutionSet:
         free_rows=free_rows,
         aux_basis_rows=aux_basis_rows,
         dependent_rows=dependent_rows,
-        dependent_col_coeffs=col_coeffs,
-        dependent_row_coeffs=row_coeffs,
         r_opt=len(free_cols) + len(free_rows) + rank(C),
         dimension=dimension,
         base_solution=Matrix.zeros(p.field, p.x_rows, p.x_cols),
     )
-    base = complete(p, skeleton, FreeChoice2x2.zeros(p.field, skeleton))
+    base = complete(p, skeleton, FreeChoice())
     return dataclasses.replace(skeleton, base_solution=base)
 
 
-def complete(p: TwoByTwoProblem, s: TwoByTwoSolutionSet, f: FreeChoice2x2) -> Matrix:
+def complete(p: TwoByTwoProblem, s: TwoByTwoSolutionSet, f: FreeChoice) -> Matrix:
     """The minimal-rank X determined by a free choice.
 
     Affine in ``f``; ranges over the entire solution set as ``f`` ranges over
     all values.  Raises :class:`InternalInvariantError` if the two redundant
     routes to the aux corner disagree (they cannot, absent a bug).
     """
-    f.validate_for(s)
+    f.validate(p.field, free_shapes(s))
     B, C, D = p.B, p.C, p.D
     X = Matrix.zeros(p.field, p.x_rows, p.x_cols)
-    X = X.assign_submatrix(s.free_rows, s.dependent_cols, f.free_rows_dependent_cols)
-    X = X.assign_submatrix(s.free_rows, s.aux_basis_cols, f.free_rows_aux_cols)
-    X = X.assign_submatrix(s.free_rows, s.free_cols, f.free_rows_free_cols)
-    X = X.assign_submatrix(s.aux_basis_rows, s.free_cols, f.aux_rows_free_cols)
-    X = X.assign_submatrix(s.dependent_rows, s.free_cols, f.dependent_rows_free_cols)
+    blocks = _free_blocks(s)
+    for name, m in f.items():
+        X = X.assign_submatrix(*blocks[name], m)
 
     # Every non-free row of [X D] equals its unique free-row combination plus
     # a row of [B C]; the free-row coefficients depend only on D and C.
@@ -277,10 +259,3 @@ def complete(p: TwoByTwoProblem, s: TwoByTwoSolutionSet, f: FreeChoice2x2) -> Ma
         raise InternalInvariantError(
             "unique corner completion disagrees with the row-coefficient fill")
     return X
-
-
-def enumerate_free_choices(field: Field, s: TwoByTwoSolutionSet) -> Iterator[FreeChoice2x2]:
-    """All free choices over a finite field, lexicographic in row-major entry order."""
-    shapes = FreeChoice2x2.block_shapes(s)
-    for blocks in enumerate_matrices(field, list(shapes.values())):
-        yield FreeChoice2x2(**dict(zip(shapes, blocks)))

@@ -12,15 +12,14 @@ import json
 import sys
 from typing import Optional
 
-from . import files
-from .block2x2 import FreeChoice2x2, analyze, complete, enumerate_free_choices as enumerate_2x2
+from . import block2x2, files, overlap
+from .block2x2 import analyze, complete, enumerate_free_choices
 from .oracle import DEFAULT_BUDGET, certify, require_enumerable
 from .overlap import (
     analyze_overlap,
     build_chains,
     complete_overlap,
     dimension_and_ranks,
-    enumerate_free_choices as enumerate_overlap,
     hankel_ranks,
 )
 from .ucl import InternalInvariantError
@@ -53,7 +52,7 @@ def _cmd_solve(args) -> int:
     if args.enumerate:
         require_enumerable(p.field, sol.dimension, args.budget)
         enumerated = [complete_overlap(p, chains, g)
-                      for g in enumerate_overlap(p.field, chains)]
+                      for g in enumerate_free_choices(p.field, overlap.free_shapes(chains))]
     _emit(files.solution_to_json(p, sol, completion, enumerated))
     return 0
 
@@ -85,13 +84,14 @@ def _cmd_solve2x2(args) -> int:
     if args.free is not None:
         f = files.two_by_two_free_choice_from_json(_load_json(args.free), p.field, s,
                                                    args.free)
+        completion = complete(p, s, f)
     else:
-        f = FreeChoice2x2.zeros(p.field, s)
-    completion = complete(p, s, f)
+        completion = s.base_solution
     enumerated = None
     if args.enumerate:
         require_enumerable(p.field, s.dimension, args.budget)
-        enumerated = [complete(p, s, g) for g in enumerate_2x2(p.field, s)]
+        enumerated = [complete(p, s, g)
+                      for g in enumerate_free_choices(p.field, block2x2.free_shapes(s))]
     _emit(files.two_by_two_solution_to_json(p, s, completion, enumerated))
     return 0
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
-from .block2x2 import FreeChoice2x2, TwoByTwoProblem, TwoByTwoSolutionSet
+from . import block2x2, overlap
+from .block2x2 import FreeChoice, TwoByTwoProblem, TwoByTwoSolutionSet
 from .fields import Field, field_from_name
 from .matrix import DimensionError, Matrix
-from .overlap import BlockProblem, FreeChoiceOverlap, IndexChains, OverlapSolutionSet
+from .overlap import BlockProblem, IndexChains, OverlapSolutionSet
 
 
 MAX_SIDE = 4096
@@ -158,14 +159,20 @@ def problem_to_json(p: BlockProblem) -> dict:
     }
 
 
-def overlap_free_choice_from_json(obj: Any, p: BlockProblem, chains: IndexChains,
-                                  where: str = "free choice") -> FreeChoiceOverlap:
-    choice = FreeChoiceOverlap(_indexed_blocks(obj, p.field, where))
+def _free_choice(blocks: Mapping, field: Field, shapes: Mapping, where: str) -> FreeChoice:
+    """``blocks`` as a free choice checked against the shape table ``shapes``."""
+    choice = FreeChoice(blocks)
     try:
-        choice.validate_for(p, chains)
+        choice.validate(field, shapes)
     except DimensionError as exc:
         raise ProblemFormatError(f"{where}: {exc}") from exc
     return choice
+
+
+def overlap_free_choice_from_json(obj: Any, p: BlockProblem, chains: IndexChains,
+                                  where: str = "free choice") -> FreeChoice:
+    return _free_choice(_indexed_blocks(obj, p.field, where), p.field,
+                        overlap.free_shapes(chains), where)
 
 
 def solution_to_json(p: BlockProblem, sol: OverlapSolutionSet, completion: Matrix,
@@ -209,26 +216,10 @@ def two_by_two_to_json(p: TwoByTwoProblem) -> dict:
 
 
 def two_by_two_free_choice_from_json(obj: Any, field: Field, s: TwoByTwoSolutionSet,
-                                     where: str = "free choice") -> FreeChoice2x2:
-    raw_blocks = _raw_blocks(obj, where)
-    shapes = FreeChoice2x2.block_shapes(s)
-    unknown = set(raw_blocks) - set(shapes)
-    if unknown:
-        raise ProblemFormatError(
-            f"{where}: unknown free block(s) {sorted(unknown)}; "
-            f"expected among {sorted(shapes)}")
-    blocks = {}
-    for name, (r, c) in shapes.items():
-        if name in raw_blocks:
-            blocks[name] = matrix_from_json(field, raw_blocks[name], f"{where}: \"{name}\"")
-        else:
-            blocks[name] = Matrix.zeros(field, r, c)
-    choice = FreeChoice2x2(**blocks)
-    try:
-        choice.validate_for(s)
-    except DimensionError as exc:
-        raise ProblemFormatError(f"{where}: {exc}") from exc
-    return choice
+                                     where: str = "free choice") -> FreeChoice:
+    blocks = {name: matrix_from_json(field, literal, f"{where}: \"{name}\"")
+              for name, literal in _raw_blocks(obj, where).items()}
+    return _free_choice(blocks, field, block2x2.free_shapes(s), where)
 
 
 def two_by_two_solution_to_json(p: TwoByTwoProblem, s: TwoByTwoSolutionSet,

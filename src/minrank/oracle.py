@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .block2x2 import enumerate_free_choices
 from .fields import Field, PrimeField
 from .matrix import Matrix, enumerate_matrices, hstack, rank, vstack
 from .overlap import (
@@ -19,7 +20,7 @@ from .overlap import (
     build_chains,
     complete_overlap,
     dimension_and_ranks,
-    enumerate_free_choices,
+    free_shapes,
 )
 from .ucl import InternalInvariantError
 
@@ -151,7 +152,7 @@ def certify(p: BlockProblem, budget: int = DEFAULT_BUDGET) -> CertificationResul
             return done(False, f"block {k}: predicted optimum rank {opt}, "
                         f"but the enumerated minimum is {seen}")
     produced = {complete_overlap(p, chains, f)
-                for f in enumerate_free_choices(p.field, chains)}
+                for f in enumerate_free_choices(p.field, free_shapes(chains))}
     bogus = sorted(produced - ground_truth, key=lambda m: m.entries())
     if bogus:
         return done(False, "construction output is not a simultaneous minimizer: "

@@ -16,16 +16,15 @@ solve against the known data and the rows fixed so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .fields import Field, require_same_field
 from .matrix import (
     DimensionError,
     Matrix,
-    enumerate_matrices,
     hstack,
     minimal_spanning_columns,
     minimal_spanning_rows,
@@ -34,7 +33,7 @@ from .matrix import (
     without,
 )
 from .ucl import HypothesisError, InternalInvariantError, UclInstance, solve_ucl
-from .block2x2 import TwoByTwoProblem, analyze
+from .block2x2 import FreeChoice, TwoByTwoProblem, analyze
 
 
 @dataclass(frozen=True)
@@ -215,34 +214,18 @@ def build_chains(p: BlockProblem) -> IndexChains:
     return IndexChains(tuple(col_chain), tuple(row_chain))
 
 
-@dataclass(frozen=True)
-class FreeChoiceOverlap:
-    """Values for the free blocks X(row group i, column group j), i < j.
-
-    Missing entries default to zero blocks.
-    """
-
-    blocks: Mapping[tuple[int, int], Matrix] = dataclass_field(default_factory=dict)
-
-    def validate_for(self, p: BlockProblem, chains: IndexChains) -> None:
-        for (i, j), m in self.blocks.items():
-            if not (1 <= i < j <= chains.n):
-                raise DimensionError(f"free block ({i},{j}) is not strictly upper triangular")
-            require_same_field(p.field, m.field)
-            want = (len(chains.row_group(i)), len(chains.col_group(j)))
-            if (m.rows, m.cols) != want:
-                raise DimensionError(
-                    f"free block ({i},{j}) must be {want[0]}x{want[1]}, got {m.rows}x{m.cols}")
-
-    def __add__(self, other: "FreeChoiceOverlap") -> "FreeChoiceOverlap":
-        merged = dict(self.blocks)
-        for key, m in other.blocks.items():
-            merged[key] = merged[key] + m if key in merged else m
-        return FreeChoiceOverlap(merged)
+def free_shapes(chains: IndexChains) -> dict[tuple[int, int], tuple[int, int]]:
+    """The shape of each free block X(row group i, column group j), i < j,
+    keyed (i, j) in lexicographic order."""
+    n = chains.n
+    rows = [len(chains.row_group(i)) for i in range(1, n + 1)]
+    cols = [len(chains.col_group(j)) for j in range(1, n + 1)]
+    return {(i, j): (rows[i - 1], cols[j - 1])
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)}
 
 
 def complete_overlap(p: BlockProblem, chains: IndexChains,
-                     f: Optional[FreeChoiceOverlap] = None) -> Matrix:
+                     f: Optional[FreeChoice] = None) -> Matrix:
     """The simultaneous rank-minimizing X determined by a free choice.
 
     Affine in ``f`` and surjective onto the solution set.  Block row groups
@@ -251,11 +234,11 @@ def complete_overlap(p: BlockProblem, chains: IndexChains,
     chain construction is broken, not the input.
     """
     if f is None:
-        f = FreeChoiceOverlap()
-    f.validate_for(p, chains)
+        f = FreeChoice()
+    f.validate(p.field, free_shapes(chains))
     n = p.n
     X = Matrix.zeros(p.field, p.x_rows, p.x_cols)
-    for (i, j), m in f.blocks.items():
+    for (i, j), m in f.items():
         X = X.assign_submatrix(chains.row_group(i), chains.col_group(j), m)
     for i in range(1, n + 1):
         kept = chains.col_chain[i]
@@ -336,15 +319,6 @@ def uniqueness_shortcut(p: BlockProblem, k: int) -> Optional[Matrix]:
     return s.base_solution if s.dimension == 0 else None
 
 
-def enumerate_free_choices(field: Field, chains: IndexChains) -> Iterator[FreeChoiceOverlap]:
-    """All free choices over a finite field, lexicographic in block-then-entry order."""
-    n = chains.n
-    keys = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    shapes = [(len(chains.row_group(i)), len(chains.col_group(j))) for i, j in keys]
-    for blocks in enumerate_matrices(field, shapes):
-        yield FreeChoiceOverlap(dict(zip(keys, blocks)))
-
-
 def transpose_problem(p: BlockProblem) -> BlockProblem:
     """The reflected problem whose completion is the transpose of X.
 
@@ -371,21 +345,18 @@ def transpose_chains(chains: IndexChains) -> IndexChains:
     )
 
 
-def transpose_free_choice(f: FreeChoiceOverlap, n: int) -> FreeChoiceOverlap:
-    return FreeChoiceOverlap({(n + 1 - j, n + 1 - i): m.transpose()
-                              for (i, j), m in f.blocks.items()})
+def transpose_free_choice(f: FreeChoice, n: int) -> FreeChoice:
+    return FreeChoice({(n + 1 - j, n + 1 - i): m.transpose() for (i, j), m in f.items()})
 
 
 def complete_overlap_columnwise(p: BlockProblem, chains: IndexChains,
-                                f: Optional[FreeChoiceOverlap] = None) -> Matrix:
+                                f: Optional[FreeChoice] = None) -> Matrix:
     """Alternative fill order: determine X column group by column group.
 
     Runs the standard row-wise fill on the transposed problem and transposes
     back, which fills the original column groups in decreasing index order.
     Always equal to :func:`complete_overlap` for the same free choice.
     """
-    if f is None:
-        f = FreeChoiceOverlap()
     result = complete_overlap(transpose_problem(p), transpose_chains(chains),
-                              transpose_free_choice(f, p.n))
+                              transpose_free_choice(f or FreeChoice(), p.n))
     return result.transpose()

@@ -14,19 +14,20 @@ import random
 from minrank import (
     BlockProblem,
     Field,
-    FreeChoice2x2,
-    FreeChoiceOverlap,
+    FreeChoice,
     IndexChains,
     Matrix,
     TwoByTwoProblem,
     TwoByTwoSolutionSet,
     UclInstance,
+    block2x2,
     check_hypotheses,
     hstack,
+    overlap,
     rank,
     vstack,
 )
-from random_problem import rand_matrix
+from random_problem import rand_blocks, rand_matrix
 
 
 def rand_block_problem(
@@ -44,13 +45,8 @@ def rand_block_problem(
         col_sizes = tuple(rng.randint(min_size, max_size) for _ in range(n))
         if max_x_entries is None or row_sizes[-1] * col_sizes[0] <= max_x_entries:
             break
-    blocks = {
-        (i, j): rand_matrix(rng, field, row_sizes[i - 1], col_sizes[j - 1])
-        for i in range(1, n + 1)
-        for j in range(1, i + 1)
-        if (i, j) != (n, 1)
-    }
-    return BlockProblem(field=field, row_sizes=row_sizes, col_sizes=col_sizes, blocks=blocks)
+    return BlockProblem(field=field, row_sizes=row_sizes, col_sizes=col_sizes,
+                        blocks=rand_blocks(rng, field, row_sizes, col_sizes))
 
 
 def rand_two_by_two(
@@ -70,26 +66,21 @@ def rand_two_by_two(
     )
 
 
+def rand_free_choice(rng: random.Random, field: Field, shapes) -> FreeChoice:
+    """Random values for every block of a shape table, in the table's order."""
+    return FreeChoice({key: rand_matrix(rng, field, r, c) for key, (r, c) in shapes.items()})
+
+
 def rand_free_choice_2x2(
     rng: random.Random, field: Field, s: TwoByTwoSolutionSet
-) -> FreeChoice2x2:
-    shapes = FreeChoice2x2.block_shapes(s)
-    return FreeChoice2x2(
-        **{name: rand_matrix(rng, field, r, c) for name, (r, c) in shapes.items()}
-    )
+) -> FreeChoice:
+    return rand_free_choice(rng, field, block2x2.free_shapes(s))
 
 
 def rand_free_choice_overlap(
     rng: random.Random, field: Field, chains: IndexChains
-) -> FreeChoiceOverlap:
-    n = chains.n
-    blocks = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            blocks[(i, j)] = rand_matrix(
-                rng, field, len(chains.row_group(i)), len(chains.col_group(j))
-            )
-    return FreeChoiceOverlap(blocks)
+) -> FreeChoice:
+    return rand_free_choice(rng, field, overlap.free_shapes(chains))
 
 
 def rand_admissible_ucl(rng: random.Random, field: Field, cap: int = 2) -> UclInstance:

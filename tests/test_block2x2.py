@@ -12,7 +12,7 @@ from minrank import (
     GF,
     QQ,
     DimensionError,
-    FreeChoice2x2,
+    FreeChoice,
     Matrix,
     TwoByTwoProblem,
     analyze,
@@ -23,7 +23,7 @@ from minrank import (
     rank,
     vstack,
 )
-from minrank.block2x2 import enumerate_free_choices
+from minrank.block2x2 import enumerate_free_choices, free_shapes
 
 from gens import rand_free_choice_2x2, rand_matrix, rand_two_by_two
 
@@ -100,7 +100,7 @@ def test_analyze_examples():
     assert s0.base_solution == q([[0]])
 
 
-def test_analyze_partitions_and_coefficients():
+def test_analyze_partitions():
     rng = random.Random(43)
     for field in (QQ, GF(3)):
         for _ in range(30):
@@ -124,15 +124,6 @@ def test_analyze_partitions_and_coefficients():
             assert len(s.free_cols) + len(s.aux_basis_cols) == rank(prob.B)
             assert len(s.free_rows) + len(s.aux_basis_rows) == rank(prob.D)
             assert s.r_opt == b_c + c_d - c
-            # span coefficients reproduce the dependent columns and rows
-            basis_b = prob.B.submatrix(cols=s.basis_cols)
-            assert basis_b @ s.dependent_col_coeffs == prob.B.submatrix(
-                cols=s.dependent_cols
-            )
-            basis_d = prob.D.submatrix(rows=s.basis_rows)
-            assert s.dependent_row_coeffs @ basis_d == prob.D.submatrix(
-                rows=s.dependent_rows
-            )
             # free-entry count
             assert s.dimension == (
                 len(s.free_rows) * prob.x_cols
@@ -140,7 +131,7 @@ def test_analyze_partitions_and_coefficients():
                 - len(s.free_rows) * len(s.free_cols)
             )
             assert s == analyze(prob)  # deterministic
-            assert s.base_solution == complete(prob, s, FreeChoice2x2.zeros(field, s))
+            assert s.base_solution == complete(prob, s, FreeChoice())
 
 
 def test_dimension_with_full_rank_sides_counts_upper_blocks():
@@ -168,17 +159,14 @@ def test_dimension_with_full_rank_sides_counts_upper_blocks():
 def test_complete_examples():
     prob = scalar_problem(QQ, 1, 1, 1)
     s = analyze(prob)
-    assert complete(prob, s, FreeChoice2x2.zeros(QQ, s)) == q([[1]])
+    assert complete(prob, s, FreeChoice()) == q([[1]])
 
     hook = hook_problem()
     sh = analyze(hook)
-    shapes = FreeChoice2x2.block_shapes(sh)
+    shapes = free_shapes(sh)
     assert sum(r * c for r, c in shapes.values()) == 1
-    f = FreeChoice2x2(
-        **{
-            name: Matrix.from_flat(QQ, r, c, [7] * (r * c))
-            for name, (r, c) in shapes.items()
-        }
+    f = FreeChoice(
+        {name: Matrix.from_flat(QQ, r, c, [7] * (r * c)) for name, (r, c) in shapes.items()}
     )
     assert complete(hook, sh, f) == q([[7]])
     for t in (0, 7):
@@ -187,7 +175,7 @@ def test_complete_examples():
 
     zero = scalar_problem(QQ, 0, 0, 0)
     sz = analyze(zero)
-    assert complete(zero, sz, FreeChoice2x2.zeros(QQ, sz)) == q([[0]])
+    assert complete(zero, sz, FreeChoice()) == q([[0]])
 
 
 def test_complete_places_free_blocks_verbatim():
@@ -197,19 +185,20 @@ def test_complete_places_free_blocks_verbatim():
         s = analyze(prob)
         f = rand_free_choice_2x2(rng, GF(5), s)
         x = complete(prob, s, f)
-        assert x.submatrix(rows=s.free_rows, cols=s.dependent_cols) == f.free_rows_dependent_cols
-        assert x.submatrix(rows=s.free_rows, cols=s.aux_basis_cols) == f.free_rows_aux_cols
-        assert x.submatrix(rows=s.free_rows, cols=s.free_cols) == f.free_rows_free_cols
-        assert x.submatrix(rows=s.aux_basis_rows, cols=s.free_cols) == f.aux_rows_free_cols
-        assert x.submatrix(rows=s.dependent_rows, cols=s.free_cols) == f.dependent_rows_free_cols
+        assert x.submatrix(rows=s.free_rows, cols=s.dependent_cols) == f["free_rows_dependent_cols"]
+        assert x.submatrix(rows=s.free_rows, cols=s.aux_basis_cols) == f["free_rows_aux_cols"]
+        assert x.submatrix(rows=s.free_rows, cols=s.free_cols) == f["free_rows_free_cols"]
+        assert x.submatrix(rows=s.aux_basis_rows, cols=s.free_cols) == f["aux_rows_free_cols"]
+        assert x.submatrix(rows=s.dependent_rows, cols=s.free_cols) == f["dependent_rows_free_cols"]
 
 
 def test_complete_rejects_misshapen_free_choice():
     prob = hook_problem()
     s = analyze(prob)
-    zero_scalar = analyze(scalar_problem(QQ, 0, 0, 0))
-    with pytest.raises(DimensionError):
-        complete(prob, s, FreeChoice2x2.zeros(QQ, zero_scalar))
+    with pytest.raises(DimensionError, match="must be 1x1, got 1x2"):
+        complete(prob, s, FreeChoice({"aux_rows_free_cols": q([[1, 2]])}))
+    with pytest.raises(DimensionError, match="unknown free block nonsense"):
+        complete(prob, s, FreeChoice({"nonsense": q([[1]])}))
 
 
 def test_complete_saturates_the_bound():
@@ -229,11 +218,16 @@ def test_complete_is_affine_in_the_free_choice():
         for _ in range(25):
             prob = rand_two_by_two(rng, field)
             s = analyze(prob)
-            z = complete(prob, s, FreeChoice2x2.zeros(field, s))
+            z = complete(prob, s, FreeChoice())
             f1 = rand_free_choice_2x2(rng, field, s)
             f2 = rand_free_choice_2x2(rng, field, s)
             assert complete(prob, s, f1) + complete(prob, s, f2) - z == complete(
                 prob, s, f1 + f2
+            )
+            # a missing block is zero, also in a sum
+            part = FreeChoice(list(f2.items())[::2])
+            assert complete(prob, s, part) + complete(prob, s, f1) - z == complete(
+                prob, s, part + f1
             )
 
 
@@ -266,7 +260,7 @@ def test_is_minimal_matches_exhaustive_minimum():
 def _assert_complete_solution_set(prob, field):
     s = analyze(prob)
     produced = set()
-    for f in enumerate_free_choices(field, s):
+    for f in enumerate_free_choices(field, free_shapes(s)):
         x = complete(prob, s, f)
         assert rank(prob.completed(x)) == s.r_opt
         produced.add(x)

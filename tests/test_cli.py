@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from minrank import FreeChoice2x2, InternalInvariantError, cli
+from minrank import InternalInvariantError, cli
+from minrank.block2x2 import free_shapes
 from minrank.oracle import CertificationResult
 
 
@@ -49,6 +50,20 @@ def hook_2x2_doc():
         "C": [["0"], ["1"]],
         "D": [["1"]],
     }
+
+
+def five_block_2x2_doc():
+    """A 2x2 problem whose five free blocks are all 1x1 (dimension 5)."""
+    return {
+        "field": "gf(2)",
+        "B": [["1", "1", "0"], ["0", "1", "1"]],
+        "C": [["0", "1"], ["0", "0"]],
+        "D": [["0", "1"], ["0", "1"], ["1", "0"]],
+    }
+
+
+FIVE_BLOCKS = ("free_rows_dependent_cols", "free_rows_aux_cols", "free_rows_free_cols",
+               "aux_rows_free_cols", "dependent_rows_free_cols")
 
 
 def run(capsys, argv):
@@ -294,7 +309,7 @@ def test_solve2x2_free_and_enumerate(tmp_path, capsys):
     from minrank.files import two_by_two_from_json
 
     s = analyze(two_by_two_from_json(hook_2x2_doc()))
-    (name,) = [k for k, (r, c) in FreeChoice2x2.block_shapes(s).items() if r * c == 1]
+    (name,) = [k for k, (r, c) in free_shapes(s).items() if r * c == 1]
     free = write_json(tmp_path, "f.json", {"blocks": {name: [["1"]]}})
     code, out, _ = run(capsys, ["solve2x2", path, "--free", free])
     assert code == 0
@@ -307,6 +322,47 @@ def test_solve2x2_rejects_bad_free_choice(tmp_path, capsys):
     code, _, err = run(capsys, ["solve2x2", path, "--free", free])
     assert code == 2
     assert "unknown free block" in err
+
+
+def test_solve2x2_empty_free_choice_is_the_base_solution(tmp_path, capsys):
+    path = write_json(tmp_path, "q.json", five_block_2x2_doc())
+    free = write_json(tmp_path, "f.json", {"blocks": {}})
+    code, out, err = run(capsys, ["solve2x2", path, "--free", free])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["dimension"] == 5
+    assert doc["completion"] == doc["base_solution"]
+
+
+@pytest.mark.parametrize("given", FIVE_BLOCKS)
+def test_solve2x2_omitted_free_blocks_are_zero(tmp_path, capsys, given):
+    path = write_json(tmp_path, "q.json", five_block_2x2_doc())
+    one = write_json(tmp_path, "one.json", {"blocks": {given: [["1"]]}})
+    every = write_json(tmp_path, "every.json", {"blocks": {
+        name: [["1" if name == given else "0"]] for name in FIVE_BLOCKS}})
+    code, out, _ = run(capsys, ["solve2x2", path, "--free", one])
+    assert code == 0
+    assert run(capsys, ["solve2x2", path, "--free", every]) == (0, out, "")
+    doc = json.loads(out)
+    assert doc["completion"] != doc["base_solution"]
+
+
+@pytest.mark.parametrize("command, blocks, fragment", [
+    ("solve", {"2,1": [["1"]]}, "unknown free block (2, 1)"),
+    ("solve", {"1,2": [["1", "0"]]}, "free block (1, 2) must be 1x1, got 1x2"),
+    ("solve2x2", {"nonsense": [["1"]]}, "unknown free block nonsense"),
+    ("solve2x2", {"free_rows_aux_cols": [["1", "0"]]},
+     "free block free_rows_aux_cols must be 1x1, got 1x2"),
+])
+def test_bad_free_block_is_one_error_line(tmp_path, capsys, command, blocks, fragment):
+    doc = unit_doc() if command == "solve" else five_block_2x2_doc()
+    path = write_json(tmp_path, "p.json", doc)
+    free = write_json(tmp_path, "f.json", {"blocks": blocks})
+    code, out, err = run(capsys, [command, path, "--free", free])
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    assert fragment in line
 
 
 def test_output_is_deterministic(tmp_path, capsys):

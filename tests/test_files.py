@@ -12,7 +12,6 @@ from minrank import (
     GF,
     QQ,
     BlockProblem,
-    FreeChoice2x2,
     Matrix,
     ProblemFormatError,
     analyze,
@@ -22,6 +21,7 @@ from minrank import (
     complete_overlap,
     hankel_ranks,
 )
+from minrank.block2x2 import free_shapes
 from minrank.files import (
     MAX_SIDE,
     matrix_from_json,
@@ -165,7 +165,7 @@ def test_overlap_free_choice_parsing():
 
 @pytest.mark.parametrize("obj, fragment", [
     ({}, 'missing key "blocks"'),
-    ({"blocks": {"2,1": [["1"]]}}, "not strictly upper triangular"),
+    ({"blocks": {"2,1": [["1"]]}}, "unknown free block (2, 1)"),
     ({"blocks": {"1,2": [["1", "1"]]}}, "must be 1x1, got 1x2"),
     ({"blocks": {"oops": [["1"]]}}, 'block key "oops"'),
     ([], "expected a JSON object"),
@@ -244,7 +244,7 @@ def test_two_by_two_free_choice_parsing():
     })
     s = analyze(p)
     assert s.dimension == 1
-    (name,) = [k for k, (r, c) in FreeChoice2x2.block_shapes(s).items() if r * c == 1]
+    (name,) = [k for k, (r, c) in free_shapes(s).items() if r * c == 1]
     choice = two_by_two_free_choice_from_json({"blocks": {name: [["1"]]}}, field, s)
     x = complete(p, s, choice)
     assert x == Matrix.from_rows(field, [[1]])

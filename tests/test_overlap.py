@@ -12,7 +12,7 @@ from minrank import (
     BlockProblem,
     DimensionError,
     FieldMismatchError,
-    FreeChoiceOverlap,
+    FreeChoice,
     IndexChains,
     Matrix,
     TwoByTwoProblem,
@@ -33,7 +33,8 @@ from minrank import (
     uniqueness_shortcut,
     vstack,
 )
-from minrank.overlap import enumerate_free_choices, transpose_chains, transpose_free_choice
+from minrank.block2x2 import enumerate_free_choices
+from minrank.overlap import free_shapes, transpose_chains, transpose_free_choice
 
 from gens import rand_block_problem, rand_free_choice_overlap, rand_matrix
 
@@ -312,7 +313,7 @@ def test_complete_overlap_unit_example():
     p = unit_problem()
     chains = build_chains(p)
     for t in (0, 1):
-        f = FreeChoiceOverlap({(1, 2): Matrix.from_rows(GF(2), [[t]])})
+        f = FreeChoice({(1, 2): Matrix.from_rows(GF(2), [[t]])})
         x = complete_overlap(p, chains, f)
         assert x == Matrix.from_rows(GF(2), [[t]])
         assert hankel_ranks(p, x) == (1, 1)
@@ -357,7 +358,7 @@ def test_free_choice_blocks_pass_through():
         chains = build_chains(p)
         f = rand_free_choice_overlap(rng, GF(5), chains)
         x = complete_overlap(p, chains, f)
-        for (i, j), block in f.blocks.items():
+        for (i, j), block in f.items():
             assert x.submatrix(rows=chains.row_group(i), cols=chains.col_group(j)) == block
 
 
@@ -414,7 +415,7 @@ def test_enumeration_counts_and_distinctness():
         if sol.dimension > 6:
             continue
         xs = {complete_overlap(p, sol.chains, f)
-              for f in enumerate_free_choices(GF(2), sol.chains)}
+              for f in enumerate_free_choices(GF(2), free_shapes(sol.chains))}
         assert len(xs) == 2 ** sol.dimension
 
 
