@@ -36,7 +36,6 @@ from .matrix import (
     row_space_contained,
     col_space_contained,
     solve_left,
-    solve_right,
     trivial_col_intersection,
     trivial_row_intersection,
     vstack,
@@ -44,7 +43,6 @@ from .matrix import (
 from .ucl import (
     AffineCoefficients,
     HypothesisError,
-    HypothesisReport,
     InternalInvariantError,
     UclInstance,
     affine_coefficients,

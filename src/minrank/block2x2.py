@@ -240,22 +240,35 @@ def complete(p: TwoByTwoProblem, s: TwoByTwoSolutionSet, f: FreeChoice) -> Matri
     X = X.assign_submatrix(other_rows, other_cols, determined)
 
     # Independent route to the aux corner through the unique corner completion.
-    inst = UclInstance(
-        B1=B.submatrix(cols=s.aux_basis_cols),
-        B2=X.submatrix(rows=s.free_rows, cols=s.aux_basis_cols),
-        C11=B.submatrix(cols=s.free_cols),
-        C12=C,
-        C21=X.submatrix(rows=s.free_rows, cols=s.free_cols),
-        C22=d_free,
-        D1=X.submatrix(rows=s.aux_basis_rows, cols=s.free_cols),
-        D2=D.submatrix(rows=s.aux_basis_rows),
-    )
-    try:
-        corner = solve_ucl(inst)
-    except HypothesisError as exc:
-        raise InternalInvariantError(
-            f"derived corner instance must be admissible: {exc}") from exc
+    corner = complete_rows(p, X, s.free_rows, s.free_cols, s.aux_basis_rows, s.aux_basis_cols)
     if corner != X.submatrix(rows=s.aux_basis_rows, cols=s.aux_basis_cols):
         raise InternalInvariantError(
             "unique corner completion disagrees with the row-coefficient fill")
     return X
+
+
+def complete_rows(p: TwoByTwoProblem, X: Matrix, fixed: tuple[int, ...],
+                  kept: tuple[int, ...], rows: tuple[int, ...],
+                  cols: tuple[int, ...]) -> Matrix:
+    """X(rows, cols) by one unique corner completion, the step of both fills.
+
+    X(fixed, :) and X(rows, kept) are known; the middle block of the corner
+    instance is [B(:, kept) C; X(fixed, kept) D(fixed, :)].  A failed condition
+    is a bug in the caller's partition and raises InternalInvariantError.
+    """
+    inst = UclInstance(
+        B1=p.B.submatrix(cols=cols),
+        B2=X.submatrix(rows=fixed, cols=cols),
+        C11=p.B.submatrix(cols=kept),
+        C12=p.C,
+        C21=X.submatrix(rows=fixed, cols=kept),
+        C22=p.D.submatrix(rows=fixed),
+        D1=X.submatrix(rows=rows, cols=kept),
+        D2=p.D.submatrix(rows=rows),
+    )
+    try:
+        return solve_ucl(inst)
+    except HypothesisError as exc:
+        raise InternalInvariantError(
+            f"completing X rows {list(rows)}, columns {list(cols)} must be admissible: "
+            f"{exc}") from exc

@@ -32,7 +32,7 @@ class FieldMismatchError(ValueError):
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d = n - 1
@@ -87,9 +87,6 @@ class Field:
 
     def inverse(self, a: Scalar) -> Scalar:
         raise NotImplementedError
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inverse(b))
 
     @property
     def zero(self) -> Scalar:

@@ -391,11 +391,6 @@ def solve_left(a: Matrix, t: Matrix) -> Matrix:
     return m
 
 
-def solve_right(a: Matrix, t: Matrix) -> Matrix:
-    """Some M with a @ M = t; transpose-dual of :func:`solve_left`."""
-    return solve_left(a.transpose(), t.transpose()).transpose()
-
-
 def row_space_contained(a: Matrix, b: Matrix) -> bool:
     """Row(a) subset of Row(b)."""
     require_same_field(a.field, b.field)

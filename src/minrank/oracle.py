@@ -118,9 +118,6 @@ class CertificationResult:
     dimension: int
     minimizer_count: int
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _compact(m: Matrix) -> str:
     f = m.field

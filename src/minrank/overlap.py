@@ -32,8 +32,7 @@ from .matrix import (
     vstack,
     without,
 )
-from .ucl import HypothesisError, InternalInvariantError, UclInstance, solve_ucl
-from .block2x2 import FreeChoice, TwoByTwoProblem, analyze
+from .block2x2 import FreeChoice, TwoByTwoProblem, analyze, complete_rows
 
 
 @dataclass(frozen=True)
@@ -241,26 +240,9 @@ def complete_overlap(p: BlockProblem, chains: IndexChains,
     for (i, j), m in f.items():
         X = X.assign_submatrix(chains.row_group(i), chains.col_group(j), m)
     for i in range(1, n + 1):
-        kept = chains.col_chain[i]
-        filled = chains.determined_cols(i)
-        fixed_rows = chains.row_chain[i - 1]
-        group = chains.row_group(i)
-        h = p.hankel[i - 1]
-        inst = UclInstance(
-            B1=h.B.submatrix(cols=filled),
-            B2=X.submatrix(rows=fixed_rows, cols=filled),
-            C11=h.B.submatrix(cols=kept),
-            C12=h.C,
-            C21=X.submatrix(rows=fixed_rows, cols=kept),
-            C22=h.D.submatrix(rows=fixed_rows),
-            D1=X.submatrix(rows=group, cols=kept),
-            D2=h.D.submatrix(rows=group),
-        )
-        try:
-            solved = solve_ucl(inst)
-        except HypothesisError as exc:
-            raise InternalInvariantError(
-                f"completion step {i} must be admissible by construction: {exc}") from exc
+        group, filled = chains.row_group(i), chains.determined_cols(i)
+        solved = complete_rows(p.hankel[i - 1], X, chains.row_chain[i - 1],
+                               chains.col_chain[i], group, filled)
         X = X.assign_submatrix(group, filled, solved)
     return X
 

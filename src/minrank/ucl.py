@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
 from .fields import Field, require_same_field
 from .matrix import (
@@ -102,64 +101,38 @@ class UclInstance:
         return hstack([self.D1, self.D2])
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Outcome of the six admissibility conditions, in their standard order."""
-
-    b1_cols_reachable: bool          # (1) Col[B1 C11 C12] = Col[C11 C12]
-    d2_rows_reachable: bool          # (2) Row[C12;C22;D2] = Row[C12;C22]
-    c11_c12_cols_independent: bool   # (3) Col C11 and Col C12 meet only at 0
-    c22_c12_rows_independent: bool   # (4) Row C22 and Row C12 meet only at 0
-    c11_full_column_rank: bool       # (5)
-    c22_full_row_rank: bool          # (6)
-
-    def as_tuple(self) -> tuple[bool, ...]:
-        return (self.b1_cols_reachable, self.d2_rows_reachable,
-                self.c11_c12_cols_independent, self.c22_c12_rows_independent,
-                self.c11_full_column_rank, self.c22_full_row_rank)
-
-    @property
-    def all_hold(self) -> bool:
-        return all(self.as_tuple())
-
-    @property
-    def first_failing(self) -> Optional[int]:
-        """1-based index of the first failing condition, or None."""
-        for i, ok in enumerate(self.as_tuple(), start=1):
-            if not ok:
-                return i
-        return None
+# Why each admissibility condition fails, in the paper's order (1)..(6).
+_FAILURE_TEXT = (
+    "column space of B1 not covered by [C11 C12]",
+    "row space of D2 not covered by [C12;C22]",
+    "column spaces of C11 and C12 intersect nontrivially",
+    "row spaces of C22 and C12 intersect nontrivially",
+    "C11 lacks full column rank",
+    "C22 lacks full row rank",
+)
 
 
-_HYPOTHESIS_TEXT = {
-    1: "column space of B1 not covered by [C11 C12]",
-    2: "row space of D2 not covered by [C12;C22]",
-    3: "column spaces of C11 and C12 intersect nontrivially",
-    4: "row spaces of C22 and C12 intersect nontrivially",
-    5: "C11 lacks full column rank",
-    6: "C22 lacks full row rank",
-}
-
-
-def check_hypotheses(inst: UclInstance) -> HypothesisReport:
-    """Evaluate the six admissibility conditions exactly; never raises."""
+def check_hypotheses(inst: UclInstance) -> tuple[bool, ...]:
+    """Whether each admissibility condition (1)..(6) holds; exact, never raises."""
     r11, r12, r22 = rank(inst.C11), rank(inst.C12), rank(inst.C22)
     top = rank(hstack([inst.C11, inst.C12]))
     right = rank(vstack([inst.C12, inst.C22]))
-    return HypothesisReport(
-        b1_cols_reachable=rank(hstack([inst.B1, inst.C11, inst.C12])) == top,
-        d2_rows_reachable=rank(vstack([inst.C12, inst.C22, inst.D2])) == right,
-        c11_c12_cols_independent=top == r11 + r12,
-        c22_c12_rows_independent=right == r22 + r12,
-        c11_full_column_rank=r11 == inst.C11.cols,
-        c22_full_row_rank=r22 == inst.C22.rows,
+    return (
+        rank(hstack([inst.B1, inst.C11, inst.C12])) == top,   # (1) Col[B1 C11 C12] = Col[C11 C12]
+        rank(vstack([inst.C12, inst.C22, inst.D2])) == right,  # (2) Row[C12;C22;D2] = Row[C12;C22]
+        top == r11 + r12,            # (3) Col C11 and Col C12 meet only at 0
+        right == r22 + r12,          # (4) Row C22 and Row C12 meet only at 0
+        r11 == inst.C11.cols,        # (5) C11 has full column rank
+        r22 == inst.C22.rows,        # (6) C22 has full row rank
     )
 
 
 def require_hypotheses(inst: UclInstance) -> None:
-    failing = check_hypotheses(inst).first_failing
-    if failing is not None:
-        raise HypothesisError(failing, _HYPOTHESIS_TEXT[failing])
+    """Raise :class:`HypothesisError` for the first condition that fails."""
+    holds = check_hypotheses(inst)
+    if not all(holds):
+        first = holds.index(False)
+        raise HypothesisError(first + 1, _FAILURE_TEXT[first])
 
 
 def block_c_inverse(C11: Matrix, C12: Matrix, C21: Matrix, C22: Matrix) -> Matrix:

@@ -113,7 +113,7 @@ def rand_admissible_ucl(rng: random.Random, field: Field, cap: int = 2) -> UclIn
             D1=rand_matrix(rng, field, d, c1),
             D2=D2,
         )
-        if check_hypotheses(inst).all_hold:
+        if all(check_hypotheses(inst)):
             return inst
     raise RuntimeError("failed to draw an admissible instance")
 

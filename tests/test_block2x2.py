@@ -23,7 +23,8 @@ from minrank import (
     rank,
     vstack,
 )
-from minrank.block2x2 import enumerate_free_choices, free_shapes
+from minrank.block2x2 import complete_rows, enumerate_free_choices, free_shapes
+from minrank.matrix import without
 
 from gens import rand_free_choice_2x2, rand_matrix, rand_two_by_two
 
@@ -229,6 +230,21 @@ def test_complete_is_affine_in_the_free_choice():
             assert complete(prob, s, part) + complete(prob, s, f1) - z == complete(
                 prob, s, part + f1
             )
+
+
+def test_complete_fills_its_determined_block_in_one_corner_step():
+    # The whole non-free block is one unique corner completion against the
+    # free rows and columns: the same step each overlap fill step takes.
+    rng = random.Random(67)
+    for field in (GF(2), GF(3), GF(101), QQ):
+        for _ in range(75):
+            prob = rand_two_by_two(rng, field)
+            s = analyze(prob)
+            X = complete(prob, s, rand_free_choice_2x2(rng, field, s))
+            rows = without(range(prob.x_rows), s.free_rows)
+            cols = without(range(prob.x_cols), s.free_cols)
+            assert complete_rows(prob, X, s.free_rows, s.free_cols, rows, cols) == (
+                X.submatrix(rows=rows, cols=cols))
 
 
 # -------------------------------------------------------------- is_minimal

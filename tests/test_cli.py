@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from minrank import InternalInvariantError, cli
+from minrank import InternalInvariantError, cli, ucl
 from minrank.block2x2 import free_shapes
 from minrank.oracle import CertificationResult
 
@@ -212,6 +212,24 @@ def test_internal_invariant_exits_three(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["solve", path])
     assert code == 3
     assert "internal invariant violation" in err
+
+
+@pytest.mark.parametrize("command, doc, where", [
+    ("solve", unit_doc(), "X rows [0], columns []"),
+    ("solve2x2", {"field": "gf(2)", "B": [["1"]], "C": [["1"]], "D": [["1"]]},
+     "X rows [0], columns [0]"),
+])
+def test_inadmissible_fill_step_exits_three(tmp_path, capsys, monkeypatch, command, doc,
+                                            where):
+    # A fill step whose corner instance fails condition (3) is a broken
+    # invariant, reported in one line that names the step's rows and columns.
+    monkeypatch.setattr(ucl, "check_hypotheses",
+                        lambda inst: (True, True, False, True, True, True))
+    path = write_json(tmp_path, "p.json", doc)
+    code, out, err = run(capsys, [command, path])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("internal invariant violation: ")
+    assert "condition (3)" in err and where in err
 
 
 def test_malformed_problem_names_the_missing_block(tmp_path, capsys):

@@ -32,7 +32,6 @@ from minrank import (
     row_space_contained,
     rref,
     solve_left,
-    solve_right,
     trivial_col_intersection,
     trivial_row_intersection,
     vstack,
@@ -357,19 +356,12 @@ def test_solve_left_right_roundtrip(a, data):
     t = m0 @ a
     m = solve_left(a, t)
     assert m @ a == t
-    ents2 = data.draw(st.lists(elements(a.field), min_size=a.cols * k, max_size=a.cols * k))
-    m1 = Matrix.from_flat(a.field, a.cols, k, ents2)
-    u = a @ m1
-    m2 = solve_right(a, u)
-    assert a @ m2 == u
 
 
 def test_solvers_reject_inconsistent_systems():
     a = q([[1, 2], [2, 4]])
     with pytest.raises(InconsistentSystemError):
         solve_left(a, Matrix.identity(QQ, 2))
-    with pytest.raises(InconsistentSystemError):
-        solve_right(a, Matrix.identity(QQ, 2))
     # zero-dimension systems are total
     assert solve_left(Matrix.zeros(QQ, 0, 2), Matrix.zeros(QQ, 3, 2)) == Matrix.zeros(QQ, 3, 0)
 

@@ -82,7 +82,6 @@ def test_exhaust_budget_guard():
 def test_certify_unit_example():
     result = certify(unit_problem())
     assert result.ok
-    assert bool(result)
     assert result.diagnostic == ""
     assert result.dimension == 1
     assert result.minimizer_count == 2
