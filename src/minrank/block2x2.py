@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping
+from typing import Callable, Hashable, Iterator, Mapping
 
 from .fields import Field, require_same_field
 from .matrix import (
@@ -125,12 +125,12 @@ class FreeChoice(dict):
     def validate(self, field: Field, shapes: Mapping[Hashable, tuple[int, int]]) -> None:
         for key, m in self.items():
             if key not in shapes:
-                raise DimensionError(f"unknown free block {key}")
+                raise DimensionError(f"unknown free block {key!r}")
             require_same_field(field, m.field)
             r, c = shapes[key]
             if (m.rows, m.cols) != (r, c):
                 raise DimensionError(
-                    f"free block {key} must be {r}x{c}, got {m.rows}x{m.cols}")
+                    f"free block {key!r} must be {r}x{c}, got {m.rows}x{m.cols}")
 
     def __add__(self, other: Mapping[Hashable, Matrix]) -> "FreeChoice":
         merged = FreeChoice(self)
@@ -145,6 +145,55 @@ def enumerate_free_choices(field: Field, shapes: Mapping[Hashable, tuple[int, in
     order: the blocks in the table's order, each row-major."""
     for blocks in enumerate_matrices(field, list(shapes.values())):
         yield FreeChoice(zip(shapes, blocks))
+
+
+def enumerate_solutions(field: Field, shapes: Mapping[Hashable, tuple[int, int]],
+                        fill: Callable[[FreeChoice], Matrix], base: Matrix
+                        ) -> Iterator[Matrix]:
+    """``fill(g)`` for each ``g`` of :func:`enumerate_free_choices`, in order,
+    by addition: ``fill`` must be affine with ``fill(FreeChoice()) == base``.
+
+    Each free entry e, in enumeration order, is filled once as the unit
+    choice; its direction is that fill minus ``base``.  The member after
+    another raises one coordinate by 1 and wraps every later one from p-1 to
+    0, which in GF(p) adds their directions once each, so each member costs
+    one addition.  The last choice, every entry p-1, is filled directly and
+    must equal base - (sum of directions); otherwise InternalInvariantError
+    is raised before the first member is returned.
+    """
+    directions = []
+    for key, (r, c) in shapes.items():
+        for e in range(r * c):
+            entries = [field.zero] * (r * c)
+            entries[e] = field.one
+            unit = FreeChoice({key: Matrix.from_flat(field, r, c, entries)})
+            directions.append(fill(unit) - base)
+    # suffix[e], the sum of directions e, e+1, ..., is the step that raises coordinate e.
+    suffix = [Matrix.zeros(field, base.rows, base.cols)]
+    for delta in reversed(directions):
+        suffix.append(suffix[-1] + delta)
+    suffix.reverse()
+    minus_one = field.neg(field.one)
+    last = FreeChoice({key: Matrix.from_flat(field, r, c, [minus_one] * (r * c))
+                       for key, (r, c) in shapes.items()})
+    if fill(last) != base - suffix[0]:
+        raise InternalInvariantError(
+            "the fill is not affine in the free choice: the all-(p-1) choice "
+            "differs from the sum of the unit directions")
+    return _odometer(field.p, base, suffix)
+
+
+def _odometer(p: int, member: Matrix, suffix: list[Matrix]) -> Iterator[Matrix]:
+    digits = [0] * (len(suffix) - 1)
+    yield member
+    for _ in range(p ** len(digits) - 1):
+        e = len(digits) - 1
+        while digits[e] == p - 1:
+            digits[e] = 0
+            e -= 1
+        digits[e] += 1
+        member = member + suffix[e]
+        yield member
 
 
 def _free_blocks(s: TwoByTwoSolutionSet) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -8,12 +8,13 @@ is UTF-8 JSON; exit codes are 0 (success), 1 (verification failed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
 
 from . import block2x2, files, overlap
-from .block2x2 import analyze, complete, enumerate_free_choices
+from .block2x2 import analyze, complete, enumerate_solutions
 from .oracle import DEFAULT_BUDGET, certify, require_enumerable
 from .overlap import (
     analyze_overlap,
@@ -35,8 +36,8 @@ def _load_json(path: str):
         raise files.ProblemFormatError(f"{path}: JSON nested too deeply") from None
 
 
-def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2))
+def _emit(doc, solutions=None) -> None:
+    files.write_json(doc, sys.stdout, solutions)
 
 
 def _cmd_solve(args) -> int:
@@ -48,12 +49,13 @@ def _cmd_solve(args) -> int:
         completion = complete_overlap(p, chains, f)
     else:
         completion = sol.base_solution
-    enumerated = None
+    solutions = None
     if args.enumerate:
         require_enumerable(p.field, sol.dimension, args.budget)
-        enumerated = [complete_overlap(p, chains, g)
-                      for g in enumerate_free_choices(p.field, overlap.free_shapes(chains))]
-    _emit(files.solution_to_json(p, sol, completion, enumerated))
+        solutions = enumerate_solutions(p.field, overlap.free_shapes(chains),
+                                        functools.partial(complete_overlap, p, chains),
+                                        sol.base_solution)
+    _emit(files.solution_to_json(p, sol, completion), solutions)
     return 0
 
 
@@ -87,16 +89,18 @@ def _cmd_solve2x2(args) -> int:
         completion = complete(p, s, f)
     else:
         completion = s.base_solution
-    enumerated = None
+    solutions = None
     if args.enumerate:
         require_enumerable(p.field, s.dimension, args.budget)
-        enumerated = [complete(p, s, g)
-                      for g in enumerate_free_choices(p.field, block2x2.free_shapes(s))]
-    _emit(files.two_by_two_solution_to_json(p, s, completion, enumerated))
+        solutions = enumerate_solutions(p.field, block2x2.free_shapes(s),
+                                        functools.partial(complete, p, s), s.base_solution)
+    _emit(files.two_by_two_solution_to_json(p, s, completion), solutions)
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="minrank",
         description="Exact simultaneous minimal rank completion of block "

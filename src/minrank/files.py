@@ -11,7 +11,8 @@ matrix carries no entries, so the file's length does not bound its size.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+import json
+from typing import Any, Iterable, Mapping, Optional, TextIO
 
 from . import block2x2, overlap
 from .block2x2 import FreeChoice, TwoByTwoProblem, TwoByTwoSolutionSet
@@ -104,7 +105,7 @@ def _block_key(raw: str, where: str) -> tuple[int, int]:
         i, j = (int(s) for s in parts)
     except ValueError:
         raise ProblemFormatError(
-            f"{where}: block key \"{raw}\" is not of the form \"i,j\"") from None
+            f"{where}: block key {json.dumps(raw)} is not of the form \"i,j\"") from None
     return i, j
 
 
@@ -123,7 +124,7 @@ def _indexed_blocks(obj: Any, field: Field, where: str) -> dict[tuple[int, int],
     blocks = {}
     for raw_key, literal in _raw_blocks(obj, where).items():
         key = _block_key(raw_key, where)
-        blocks[key] = matrix_from_json(field, literal, f"{where}: block \"{raw_key}\"")
+        blocks[key] = matrix_from_json(field, literal, f"{where}: block {json.dumps(raw_key)}")
     return blocks
 
 
@@ -175,10 +176,9 @@ def overlap_free_choice_from_json(obj: Any, p: BlockProblem, chains: IndexChains
                         overlap.free_shapes(chains), where)
 
 
-def solution_to_json(p: BlockProblem, sol: OverlapSolutionSet, completion: Matrix,
-                     enumerated: Optional[list[Matrix]] = None) -> dict:
+def solution_to_json(p: BlockProblem, sol: OverlapSolutionSet, completion: Matrix) -> dict:
     chains = sol.chains
-    out = {
+    return {
         "field": p.field.name,
         "base_solution": matrix_to_json(sol.base_solution),
         "completion": matrix_to_json(completion),
@@ -193,9 +193,6 @@ def solution_to_json(p: BlockProblem, sol: OverlapSolutionSet, completion: Matri
                            for j in range(1, chains.n + 1)],
         },
     }
-    if enumerated is not None:
-        out["solutions"] = [matrix_to_json(m) for m in enumerated]
-    return out
 
 
 def two_by_two_from_json(obj: Any, where: str = "problem") -> TwoByTwoProblem:
@@ -217,15 +214,14 @@ def two_by_two_to_json(p: TwoByTwoProblem) -> dict:
 
 def two_by_two_free_choice_from_json(obj: Any, field: Field, s: TwoByTwoSolutionSet,
                                      where: str = "free choice") -> FreeChoice:
-    blocks = {name: matrix_from_json(field, literal, f"{where}: \"{name}\"")
+    blocks = {name: matrix_from_json(field, literal, f"{where}: {json.dumps(name)}")
               for name, literal in _raw_blocks(obj, where).items()}
     return _free_choice(blocks, field, block2x2.free_shapes(s), where)
 
 
 def two_by_two_solution_to_json(p: TwoByTwoProblem, s: TwoByTwoSolutionSet,
-                                completion: Matrix,
-                                enumerated: Optional[list[Matrix]] = None) -> dict:
-    out = {
+                                completion: Matrix) -> dict:
+    return {
         "field": p.field.name,
         "r_opt": s.r_opt,
         "dimension": s.dimension,
@@ -242,6 +238,25 @@ def two_by_two_solution_to_json(p: TwoByTwoProblem, s: TwoByTwoSolutionSet,
         "base_solution": matrix_to_json(s.base_solution),
         "completion": matrix_to_json(completion),
     }
-    if enumerated is not None:
-        out["solutions"] = [matrix_to_json(m) for m in enumerated]
-    return out
+
+
+def write_json(doc: Mapping, out: TextIO,
+               solutions: Optional[Iterable[Matrix]] = None) -> None:
+    """Write ``json.dumps(doc, indent=2)`` and a newline to ``out``.
+
+    ``solutions``, if given, becomes a last key ``"solutions"`` written one
+    matrix at a time, so neither the matrices nor the whole text is held in
+    memory; the text is the same as with the list of matrices in ``doc``.
+    """
+    if solutions is None:
+        out.write(json.dumps(doc, indent=2) + "\n")
+        return
+    head = json.dumps({**doc, "solutions": []}, indent=2)
+    out.write(head[:-len("[]\n}")])
+    opener = "["
+    for m in solutions:
+        # A member sits two levels deep: four more spaces on every line.
+        out.write(opener + "\n    "
+                  + json.dumps(matrix_to_json(m), indent=2).replace("\n", "\n    "))
+        opener = ","
+    out.write("[]\n}\n" if opener == "[" else "\n  ]\n}\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -23,7 +24,12 @@ from minrank import (
     rank,
     vstack,
 )
-from minrank.block2x2 import complete_rows, enumerate_free_choices, free_shapes
+from minrank.block2x2 import (
+    complete_rows,
+    enumerate_free_choices,
+    enumerate_solutions,
+    free_shapes,
+)
 from minrank.matrix import without
 
 from gens import rand_free_choice_2x2, rand_matrix, rand_two_by_two
@@ -198,7 +204,7 @@ def test_complete_rejects_misshapen_free_choice():
     s = analyze(prob)
     with pytest.raises(DimensionError, match="must be 1x1, got 1x2"):
         complete(prob, s, FreeChoice({"aux_rows_free_cols": q([[1, 2]])}))
-    with pytest.raises(DimensionError, match="unknown free block nonsense"):
+    with pytest.raises(DimensionError, match="unknown free block 'nonsense'"):
         complete(prob, s, FreeChoice({"nonsense": q([[1]])}))
 
 
@@ -294,6 +300,26 @@ def test_construction_produces_exactly_the_minimizers():
                 continue
             _assert_complete_solution_set(prob, field)
             done += 1
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5)], ids=str)
+def test_enumerated_solutions_are_one_fill_per_choice(field):
+    # Members built by adding directions equal one fill per free choice, in
+    # enumeration order, including dimension 0 and zero-size sides.
+    rng = random.Random(79)
+    dimensions, zero_sized = set(), False
+    for _ in range(40):
+        prob = rand_two_by_two(rng, field)
+        s = analyze(prob)
+        if field.p ** s.dimension > 200:
+            continue
+        shapes = free_shapes(s)
+        fill = functools.partial(complete, prob, s)
+        assert (list(enumerate_solutions(field, shapes, fill, s.base_solution))
+                == [fill(g) for g in enumerate_free_choices(field, shapes)])
+        dimensions.add(s.dimension)
+        zero_sized |= 0 in (prob.B.rows, prob.B.cols, prob.C.cols, prob.D.rows)
+    assert 0 in dimensions and max(dimensions) >= 2 and zero_sized
 
 
 def test_rank_deficient_sides_enlarge_the_free_region():

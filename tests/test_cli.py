@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from minrank import InternalInvariantError, cli, ucl
+from minrank import InternalInvariantError, Matrix, cli, ucl
 from minrank.block2x2 import free_shapes
 from minrank.oracle import CertificationResult
 
@@ -368,9 +368,9 @@ def test_solve2x2_omitted_free_blocks_are_zero(tmp_path, capsys, given):
 @pytest.mark.parametrize("command, blocks, fragment", [
     ("solve", {"2,1": [["1"]]}, "unknown free block (2, 1)"),
     ("solve", {"1,2": [["1", "0"]]}, "free block (1, 2) must be 1x1, got 1x2"),
-    ("solve2x2", {"nonsense": [["1"]]}, "unknown free block nonsense"),
+    ("solve2x2", {"nonsense": [["1"]]}, "unknown free block 'nonsense'"),
     ("solve2x2", {"free_rows_aux_cols": [["1", "0"]]},
-     "free block free_rows_aux_cols must be 1x1, got 1x2"),
+     "free block 'free_rows_aux_cols' must be 1x1, got 1x2"),
 ])
 def test_bad_free_block_is_one_error_line(tmp_path, capsys, command, blocks, fragment):
     doc = unit_doc() if command == "solve" else five_block_2x2_doc()
@@ -381,6 +381,45 @@ def test_bad_free_block_is_one_error_line(tmp_path, capsys, command, blocks, fra
     (line,) = err.splitlines()
     assert line.startswith("error: ")
     assert fragment in line
+
+
+def test_odd_key_is_one_error_line(tmp_path, capsys):
+    # Keys are quoted, so one holding a newline cannot split the message.
+    doc = unit_doc()
+    doc["blocks"]["1\n1"] = doc["blocks"].pop("1,1")
+    path = write_json(tmp_path, "p.json", doc)
+    free = write_json(tmp_path, "f.json", {"blocks": {"a\nb": [["1"]]}})
+    hook = write_json(tmp_path, "q.json", five_block_2x2_doc())
+    for argv, fragment in ((["solve", path], r'block key "1\n1"'),
+                           (["solve2x2", hook, "--free", free], r"block 'a\nb'")):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and fragment in line
+
+
+@pytest.mark.parametrize("command, doc, fill", [
+    ("solve", {**unit_doc(), "field": "gf(3)"}, "complete_overlap"),
+    ("solve2x2", {**hook_2x2_doc(), "field": "gf(3)"}, "complete"),
+])
+def test_enumerate_rejects_a_fill_that_is_not_affine(tmp_path, capsys, monkeypatch,
+                                                     command, doc, fill):
+    # The members are sums of unit directions; a fill that is off only at the
+    # last free choice (every entry 2) breaks that, and nothing is printed.
+    exact = getattr(cli, fill)
+
+    def skewed(p, s, f):
+        x = exact(p, s, f)
+        if f and all(v == 2 for m in f.values() for v in m.entries()):
+            x = x + Matrix.from_flat(x.field, x.rows, x.cols, [1] * (x.rows * x.cols))
+        return x
+
+    monkeypatch.setattr(cli, fill, skewed)
+    path = write_json(tmp_path, "p.json", doc)
+    code, out, err = run(capsys, [command, path, "--enumerate"])
+    assert (code, out) == (3, "")
+    (line,) = err.splitlines()
+    assert line.startswith("internal invariant violation: ") and "not affine" in line
 
 
 def test_output_is_deterministic(tmp_path, capsys):

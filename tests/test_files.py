@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from fractions import Fraction
@@ -34,6 +35,7 @@ from minrank.files import (
     two_by_two_from_json,
     two_by_two_solution_to_json,
     two_by_two_to_json,
+    write_json,
 )
 
 from gens import rand_block_problem, rand_matrix, rand_two_by_two
@@ -200,11 +202,21 @@ def test_solution_to_json_contents():
 
 
 def test_solution_to_json_with_enumeration():
+    # The streamed "solutions" key writes the text json.dumps writes for the
+    # whole document: plain and zero-size members, one member, or none.
     p = problem_from_json(_unit_obj())
     sol = analyze_overlap(p)
+    doc = solution_to_json(p, sol, sol.base_solution)
     listed = [Matrix.zeros(GF(2), 1, 1), Matrix.from_rows(GF(2), [[1]])]
-    out = solution_to_json(p, sol, sol.base_solution, enumerated=listed)
-    assert out["solutions"] == [[["0"]], [["1"]]]
+    for members in (listed, listed[1:], [Matrix.zeros(GF(2), 0, 2)] * 2, []):
+        out = io.StringIO()
+        write_json(doc, out, iter(members))
+        whole = {**doc, "solutions": [matrix_to_json(m) for m in members]}
+        assert out.getvalue() == json.dumps(whole, indent=2) + "\n"
+    assert json.loads(out.getvalue())["solutions"] == []
+    out = io.StringIO()
+    write_json(doc, out)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_serialization_is_deterministic():

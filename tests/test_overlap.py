@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -33,7 +34,7 @@ from minrank import (
     uniqueness_shortcut,
     vstack,
 )
-from minrank.block2x2 import enumerate_free_choices
+from minrank.block2x2 import enumerate_free_choices, enumerate_solutions
 from minrank.overlap import free_shapes, transpose_chains, transpose_free_choice
 
 from gens import rand_block_problem, rand_free_choice_overlap, rand_matrix
@@ -417,6 +418,26 @@ def test_enumeration_counts_and_distinctness():
         xs = {complete_overlap(p, sol.chains, f)
               for f in enumerate_free_choices(GF(2), free_shapes(sol.chains))}
         assert len(xs) == 2 ** sol.dimension
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5)], ids=str)
+def test_enumerated_solutions_are_one_fill_per_choice(field):
+    # Members built by adding directions equal one fill per free choice, in
+    # enumeration order, including dimension 0 and zero-size blocks.
+    rng = random.Random(41)
+    dimensions, zero_sized = set(), False
+    for _ in range(40):
+        p = rand_block_problem(rng, field, n=rng.choice([2, 3]), min_size=0)
+        sol = analyze_overlap(p)
+        if field.p ** sol.dimension > 200:
+            continue
+        shapes = free_shapes(sol.chains)
+        fill = functools.partial(complete_overlap, p, sol.chains)
+        assert (list(enumerate_solutions(field, shapes, fill, sol.base_solution))
+                == [fill(g) for g in enumerate_free_choices(field, shapes)])
+        dimensions.add(sol.dimension)
+        zero_sized |= 0 in p.row_sizes + p.col_sizes
+    assert 0 in dimensions and max(dimensions) >= 2 and zero_sized
 
 
 # ------------------------------------------------------------ fill ordering
