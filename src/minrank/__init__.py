@@ -33,11 +33,7 @@ from .matrix import (
     rank,
     rref,
     right_inverse,
-    row_space_contained,
-    col_space_contained,
     solve_left,
-    trivial_col_intersection,
-    trivial_row_intersection,
     vstack,
 )
 from .ucl import (

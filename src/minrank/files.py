@@ -255,8 +255,22 @@ def write_json(doc: Mapping, out: TextIO,
     out.write(head[:-len("[]\n}")])
     opener = "["
     for m in solutions:
-        # A member sits two levels deep: four more spaces on every line.
-        out.write(opener + "\n    "
-                  + json.dumps(matrix_to_json(m), indent=2).replace("\n", "\n    "))
+        out.write(opener + "\n    " + _member_text(m))
         opener = ","
     out.write("[]\n}\n" if opener == "[" else "\n  ]\n}\n")
+
+
+def _member_text(m: Matrix) -> str:
+    """``json.dumps(matrix_to_json(m), indent=2)`` two levels deep, as a member sits.
+
+    With ``indent`` set ``json.dumps`` runs the pure-Python encoder, so the
+    rows are joined here from ``Field.format`` strings, which hold only
+    digits, a sign and a slash and so need no escaping.
+    """
+    if m.rows == 0 or m.cols == 0:
+        return json.dumps(matrix_to_json(m), indent=2).replace("\n", "\n    ")
+    fmt, sep = m.field.format, '",\n        "'
+    return ("[\n      "
+            + ",\n      ".join('[\n        "' + sep.join(map(fmt, row)) + '"\n      ]'
+                                for row in m.data)
+            + "\n    ]")

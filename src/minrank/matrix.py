@@ -10,10 +10,11 @@ so every derived object is deterministic and reproducible.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .fields import Field, Scalar, require_same_field
+from .fields import Field, PrimeField, Scalar, require_same_field
 
 
 class DimensionError(ValueError):
@@ -151,6 +152,13 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         F = self.field
+        if isinstance(F, PrimeField):
+            # Row i of the product is sum_k self[i, k] * (row k of other), packed.
+            w = _slot_width(F.p, self.cols)
+            packed = _pack_rows(other.data, w)
+            return Matrix(F, self.rows, other.cols, tuple(
+                tuple(_unpack(sum(map(operator.mul, ra, packed)), other.cols, w, F.p))
+                for ra in self.data))
         zero = F.zero
         bt = other.transpose().data
         out = []
@@ -245,8 +253,11 @@ class RrefResult(NamedTuple):
     transform: Matrix
 
 
-def _eliminate(m: Matrix, reduce: bool = False) -> tuple[
-        tuple[int, ...], Optional[list[list[Scalar]]], Optional[list[list[Scalar]]]]:
+Eliminated = tuple[tuple[int, ...], Optional[list[list[Scalar]]],
+                   Optional[list[list[Scalar]]]]
+
+
+def _eliminate(m: Matrix, reduce: bool = False) -> Eliminated:
     """Greedy left-to-right Gaussian elimination on the rows of ``m``.
 
     The pivot columns are the column rank profile of ``m``: the
@@ -255,8 +266,19 @@ def _eliminate(m: Matrix, reduce: bool = False) -> tuple[
     Without ``reduce`` only the rows below each pivot are eliminated, and
     only the pivots are returned.  With ``reduce`` the rows also come back
     in reduced row echelon form, with the invertible transform that
-    produces them.  A pivot row is zero left of its pivot, so no column
-    before the pivot is ever recomputed.
+    produces them.  GF(p) runs the packed kernel, every other field the
+    per-scalar loop; both make the same pivots, swaps and multipliers.
+    """
+    if isinstance(m.field, PrimeField):
+        return _eliminate_packed(m, reduce)
+    return _eliminate_generic(m, reduce)
+
+
+def _eliminate_generic(m: Matrix, reduce: bool = False) -> Eliminated:
+    """:func:`_eliminate` over any field, one ``Field`` call per scalar.
+
+    A pivot row is zero left of its pivot, so no column before the pivot is
+    ever recomputed.
     """
     F = m.field
     # Scalars are canonical, so a zero test is a plain comparison.
@@ -294,6 +316,79 @@ def _eliminate(m: Matrix, reduce: bool = False) -> tuple[
                 c = mul(c, inv)
             a[i][col + 1:] = [sub(x, mul(c, y)) for x, y in zip(a[i][col + 1:], tail)]
     return (tuple(pivots), a, t) if reduce else (tuple(pivots), None, None)
+
+
+def _eliminate_packed(m: Matrix, reduce: bool = False) -> Eliminated:
+    """:func:`_eliminate` over GF(p), each row packed into one ``int``.
+
+    Entry j of a row is slot j (see :func:`_pack_rows`); with ``reduce``
+    the row of the transform follows in slots ``cols`` onwards, so one
+    multiply-add updates both.  A pivot row is reduced mod p (and, with
+    ``reduce``, scaled to a unit pivot) before use, and a target row takes
+    ``a[i] += (p - c) * pivot``.  A slot so holds one residue plus at most
+    ``rows - 1`` products of two residues since its row was last reduced,
+    which :func:`_slot_width` leaves room for: no slot ever carries into
+    the next, and each is its entry plus a multiple of p.
+    """
+    p, rows, cols = m.field.p, m.rows, m.cols
+    w = _slot_width(p, rows)
+    mask = (1 << w) - 1
+    width = cols + rows if reduce else cols
+    a = _pack_rows(m.data, w)
+    if reduce:
+        a = [x | 1 << (cols + i) * w for i, x in enumerate(a)]
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        shift = col * w
+        pr = next((i for i in range(r, rows) if (a[i] >> shift & mask) % p), None)
+        if pr is None:
+            continue
+        pivots.append(col)
+        a[r], a[pr] = a[pr], a[r]
+        # Slots left of the pivot are multiples of p: dropped, they read 0.
+        tail = a[r] >> shift
+        inv = pow(tail & mask, -1, p)
+        scale, factor = (inv, 1) if reduce else (1, inv)
+        pivot = 0
+        for s in range((width - col - 1) * w, -1, -w):
+            pivot = pivot << w | (tail >> s & mask) * scale % p
+        a[r] = pivot = pivot << shift
+        for i in range(rows) if reduce else range(r + 1, rows):
+            c = (a[i] >> shift & mask) % p
+            if c and i != r:
+                a[i] += (p - c * factor % p) * pivot
+    if not reduce:
+        return tuple(pivots), None, None
+    slots = [_unpack(x, width, w, p) for x in a]
+    return tuple(pivots), [s[:cols] for s in slots], [s[cols:] for s in slots]
+
+
+def _slot_width(p: int, terms: int) -> int:
+    """Bits for a slot holding a residue plus ``terms`` products of two residues.
+
+    Such a slot is below ``p + terms * (p - 1)**2 < (terms + 1) * 4**bitlen(p)``.
+    """
+    return 2 * p.bit_length() + (terms + 1).bit_length()
+
+
+def _pack_rows(rows: Iterable[Sequence[int]], w: int) -> list[int]:
+    """Each row of values below ``2**w`` as one int, entry j in bits [j*w, (j+1)*w)."""
+    out = []
+    for row in rows:
+        x = 0
+        for v in reversed(row):
+            x = x << w | v
+        out.append(x)
+    return out
+
+
+def _unpack(x: int, n: int, w: int, p: int) -> list[int]:
+    """The ``n`` lowest ``w``-bit slots of ``x``, reduced mod ``p``."""
+    mask = (1 << w) - 1
+    return [(x >> s & mask) % p for s in range(0, n * w, w)]
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -390,34 +485,3 @@ def solve_left(a: Matrix, t: Matrix) -> Matrix:
         raise InconsistentSystemError("rows of target leave the row space")
     return m
 
-
-def row_space_contained(a: Matrix, b: Matrix) -> bool:
-    """Row(a) subset of Row(b)."""
-    require_same_field(a.field, b.field)
-    if a.cols != b.cols:
-        raise DimensionError("operands disagree on column count")
-    return rank(vstack([a, b])) == rank(b)
-
-
-def col_space_contained(a: Matrix, b: Matrix) -> bool:
-    """Col(a) subset of Col(b)."""
-    require_same_field(a.field, b.field)
-    if a.rows != b.rows:
-        raise DimensionError("operands disagree on row count")
-    return rank(hstack([a, b])) == rank(b)
-
-
-def trivial_col_intersection(a: Matrix, b: Matrix) -> bool:
-    """Col(a) meets Col(b) only at zero."""
-    require_same_field(a.field, b.field)
-    if a.rows != b.rows:
-        raise DimensionError("operands disagree on row count")
-    return rank(hstack([a, b])) == rank(a) + rank(b)
-
-
-def trivial_row_intersection(a: Matrix, b: Matrix) -> bool:
-    """Row(a) meets Row(b) only at zero."""
-    require_same_field(a.field, b.field)
-    if a.cols != b.cols:
-        raise DimensionError("operands disagree on column count")
-    return rank(vstack([a, b])) == rank(a) + rank(b)

@@ -203,12 +203,18 @@ def test_solution_to_json_contents():
 
 def test_solution_to_json_with_enumeration():
     # The streamed "solutions" key writes the text json.dumps writes for the
-    # whole document: plain and zero-size members, one member, or none.
+    # whole document: plain, zero-size and rational members, one member, or none.
     p = problem_from_json(_unit_obj())
     sol = analyze_overlap(p)
     doc = solution_to_json(p, sol, sol.base_solution)
     listed = [Matrix.zeros(GF(2), 1, 1), Matrix.from_rows(GF(2), [[1]])]
-    for members in (listed, listed[1:], [Matrix.zeros(GF(2), 0, 2)] * 2, []):
+    rational = [Matrix.from_rows(QQ, [[Fraction(-1, 2), 3], [0, Fraction(7, 5)]]),
+                Matrix.from_rows(QQ, [[Fraction(-12, 7), 0, 1]]),
+                Matrix.from_rows(QQ, [[5], [Fraction(1, 3)]])]
+    zero_size = [Matrix.zeros(GF(2), 0, 2), Matrix.zeros(GF(2), 3, 0),
+                 Matrix.zeros(GF(2), 0, 0), Matrix.from_rows(GF(101), [[100, 7]])]
+    for members in (listed, listed[1:], [Matrix.zeros(GF(2), 0, 2)] * 2,
+                    rational, zero_size, zero_size[1:2], []):
         out = io.StringIO()
         write_json(doc, out, iter(members))
         whole = {**doc, "solutions": [matrix_to_json(m) for m in members]}

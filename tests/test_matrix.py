@@ -19,7 +19,6 @@ from minrank import (
     Matrix,
     RankDeficiencyError,
     SingularMatrixError,
-    col_space_contained,
     hstack,
     inverse,
     left_inverse,
@@ -29,16 +28,20 @@ from minrank import (
     minimal_spanning_rows,
     rank,
     right_inverse,
-    row_space_contained,
     rref,
     solve_left,
-    trivial_col_intersection,
-    trivial_row_intersection,
     vstack,
 )
+from minrank import matrix
 from minrank.matrix import without
 
 from gens import rand_matrix
+from spans import (
+    col_space_contained,
+    row_space_contained,
+    trivial_col_intersection,
+    trivial_row_intersection,
+)
 
 FIELDS = (QQ, GF(2), GF(5))
 
@@ -391,3 +394,54 @@ def test_subspace_predicates_match_rank_arithmetic(a, data):
     at, bt = a.transpose(), b.transpose()
     assert col_space_contained(at, bt) == row_space_contained(a, b)
     assert trivial_col_intersection(at, bt) == trivial_row_intersection(a, b)
+
+
+# ------------------------------------------------------ packed GF(p) kernel
+
+# 2**63 - 25 is the largest prime PrimeField admits (2**63 - 1 is not prime).
+PACKED_FIELDS = (GF(2), GF(3), GF(101), GF(2**61 - 1), GF(2**63 - 25))
+
+
+def kernel_cases(rng, field):
+    """Seeded GF(p) matrices: random, rank-deficient and worst-case slot growth."""
+    p = field.p
+    for _ in range(40):
+        r, c = rng.randint(0, 9), rng.randint(0, 9)
+        density = rng.random()
+        yield Matrix.from_flat(field, r, c, [rng.randrange(p) if rng.random() < density else 0
+                                             for _ in range(r * c)])
+        k = rng.randint(0, min(r, c))
+        yield rand_matrix(rng, field, r, k) @ rand_matrix(rng, field, k, c)
+    for r in range(10):
+        yield Matrix.from_rows(field, [[p - 1] * 3] * r, cols=3)
+    # Row i < n-1 is u e_i + v e_last, the last row is all u: the last row
+    # takes n-1 updates that each add (p-1)**2 to its last slot.
+    for n in range(2, 10):
+        for u, v in ((1, p - 1), (p - 1, p - 1)):
+            rows = [[u if j == i else 0 for j in range(n - 1)] + [v] for i in range(n - 1)]
+            yield Matrix.from_rows(field, rows + [[u] * n])
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=str)
+def test_packed_elimination_matches_the_generic_loop(field):
+    rng = random.Random(field.p % 1000)
+    for m in kernel_cases(rng, field):
+        for reduce in (False, True):
+            assert matrix._eliminate_packed(m, reduce) == matrix._eliminate_generic(m, reduce)
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=str)
+def test_packed_product_matches_the_scalar_product(field):
+    rng = random.Random(field.p % 1000)
+    p = field.p
+    pairs = []
+    for _ in range(60):
+        r, k, c = (rng.randint(0, 9) for _ in range(3))
+        pairs.append((rand_matrix(rng, field, r, k), rand_matrix(rng, field, k, c)))
+    for k in range(10):
+        full = Matrix.from_flat(field, 3, k, [p - 1] * 3 * k)
+        pairs.append((full, full.transpose()))
+    for a, b in pairs:
+        assert (a @ b).data == tuple(
+            tuple(sum(a[i, l] * b[l, j] for l in range(a.cols)) % p for j in range(b.cols))
+            for i in range(a.rows))

@@ -20,7 +20,6 @@ from minrank import (
     analyze,
     analyze_overlap,
     build_chains,
-    col_space_contained,
     complete_overlap,
     complete_overlap_columnwise,
     dimension_and_ranks,
@@ -29,7 +28,6 @@ from minrank import (
     hstack,
     r_opt,
     rank,
-    row_space_contained,
     transpose_problem,
     uniqueness_shortcut,
     vstack,
@@ -38,6 +36,7 @@ from minrank.block2x2 import enumerate_free_choices, enumerate_solutions
 from minrank.overlap import free_shapes, transpose_chains, transpose_free_choice
 
 from gens import rand_block_problem, rand_free_choice_overlap, rand_matrix
+from spans import col_space_contained, row_space_contained
 
 
 def unit_problem(field=GF(2)):

@@ -21,7 +21,6 @@ from minrank import (
     affine_coefficients,
     block_c_inverse,
     check_hypotheses,
-    col_space_contained,
     hstack,
     inverse,
     left_inverse,
@@ -30,15 +29,18 @@ from minrank import (
     r_opt,
     rank,
     right_inverse,
-    row_space_contained,
     solve_ucl,
-    trivial_col_intersection,
-    trivial_row_intersection,
     vstack,
 )
 from minrank.ucl import require_hypotheses
 
 from gens import rand_admissible_c_blocks, rand_admissible_ucl, rand_matrix
+from spans import (
+    col_space_contained,
+    row_space_contained,
+    trivial_col_intersection,
+    trivial_row_intersection,
+)
 
 def q(rows, cols=None):
     return Matrix.from_rows(QQ, rows, cols=cols)
