@@ -3,9 +3,9 @@
 Scalars are plain canonical Python values (``fractions.Fraction`` for the
 rationals, ``int`` residues in ``range(p)`` for GF(p)).  A :class:`Field`
 object supplies the arithmetic and canonicalization for one such scalar
-type; matrices carry a field reference and route every operation through
-it.  Keeping scalars unwrapped keeps elimination loops cheap and makes
-equality structural for free.
+type; matrices carry a field reference, and their elimination and
+arithmetic specialise on it.  Keeping scalars unwrapped keeps those loops
+cheap and makes equality structural for free.
 """
 
 from __future__ import annotations
@@ -262,6 +262,7 @@ def field_from_name(name: str) -> Field:
 def require_same_field(*fields: Field) -> Field:
     first = fields[0]
     for other in fields[1:]:
-        if other != first:
+        # GF() and QQ are shared instances, so identity settles nearly every call.
+        if other is not first and other != first:
             raise FieldMismatchError(f"mixed fields {first} and {other}")
     return first

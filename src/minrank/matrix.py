@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .fields import Field, PrimeField, Scalar, require_same_field
@@ -128,19 +130,22 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError(f"shape {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
         self._check_same_shape(other)
         F = self.field
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(F.add(a, b) for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.data, other.data)))
+        if isinstance(F, PrimeField):
+            p = F.p
+            data = tuple(tuple(x % p for x in map(op, ra, rb))
+                         for ra, rb in zip(self.data, other.data))
+        else:
+            data = tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.data, other.data))
+        return Matrix(F, self.rows, self.cols, data)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        F = self.field
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(F.sub(a, b) for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.data, other.data)))
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self) -> "Matrix":
         F = self.field
@@ -159,18 +164,13 @@ class Matrix:
             return Matrix(F, self.rows, other.cols, tuple(
                 tuple(_unpack(sum(map(operator.mul, ra, packed)), other.cols, w, F.p))
                 for ra in self.data))
-        zero = F.zero
-        bt = other.transpose().data
-        out = []
-        for ra in self.data:
-            out_row = []
-            for cb in bt:
-                acc = zero
-                for a, b in zip(ra, cb):
-                    acc = F.add(acc, F.mul(a, b))
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix(self.field, self.rows, other.cols, tuple(out))
+        # Rationals: row i of self and column j of other, each with its
+        # denominators cleared, give entry (i, j) as one integer dot product.
+        left, d = _clear_denominators(self.data)
+        right, e = _clear_denominators(other.transpose().data)
+        return Matrix(F, self.rows, other.cols, tuple(
+            tuple(Fraction(sum(map(operator.mul, ra, cb)), di * ej) for cb, ej in zip(right, e))
+            for ra, di in zip(left, d)))
 
     def scale(self, scalar: object) -> "Matrix":
         F = self.field
@@ -266,56 +266,85 @@ def _eliminate(m: Matrix, reduce: bool = False) -> Eliminated:
     Without ``reduce`` only the rows below each pivot are eliminated, and
     only the pivots are returned.  With ``reduce`` the rows also come back
     in reduced row echelon form, with the invertible transform that
-    produces them.  GF(p) runs the packed kernel, every other field the
-    per-scalar loop; both make the same pivots, swaps and multipliers.
+    produces them.  GF(p) runs the packed kernel and the rationals the
+    integer one.  Both take as pivot the first nonzero entry at or below
+    the next pivot row, so the pivots and swaps, and hence the reduced rows
+    and transform, are those of textbook elimination with unit pivots.
     """
     if isinstance(m.field, PrimeField):
         return _eliminate_packed(m, reduce)
-    return _eliminate_generic(m, reduce)
+    return _eliminate_integer(m, reduce)
 
 
-def _eliminate_generic(m: Matrix, reduce: bool = False) -> Eliminated:
-    """:func:`_eliminate` over any field, one ``Field`` call per scalar.
+def _eliminate_integer(m: Matrix, reduce: bool = False) -> Eliminated:
+    """:func:`_eliminate` over the rationals, fraction-free (Bareiss, 1968).
 
-    A pivot row is zero left of its pivot, so no column before the pivot is
-    ever recomputed.
+    Each row is multiplied by the lcm of its denominators.  A target row
+    then takes ``x <- (piv * x - c * y) // prev``, ``prev`` being the
+    previous pivot.  Every entry stays an integer minor, so every division
+    is exact, and every row is a nonzero multiple of the row that
+    elimination with unit pivots holds, with the same pivots.  With
+    ``reduce`` the rows above the pivot are updated too (fraction-free
+    Gauss-Jordan), and each row carries its row of the transform of the
+    cleared matrix; multiplying column j of that by row j's lcm makes it a
+    transform of ``m``.  Then each pivot row is divided by its pivot, and
+    each zero row by its transform's entry on its own original row, which
+    unit pivots leave at 1.
     """
-    F = m.field
-    # Scalars are canonical, so a zero test is a plain comparison.
-    zero, sub, mul = F.zero, F.sub, F.mul
-    a = [list(r) for r in m.data]
-    t = ([[F.one if i == j else zero for j in range(m.rows)] for i in range(m.rows)]
-         if reduce else None)
+    rows, cols = m.rows, m.cols
+    a, dens = _clear_denominators(m.data)
+    if reduce:
+        for i, row in enumerate(a):
+            row += [0] * rows
+            row[cols + i] = 1
+        orig = list(range(rows))
     pivots = []
-    for col in range(m.cols):
+    prev = 1
+    for col in range(cols):
         r = len(pivots)
-        if r == m.rows:
+        if r == rows:
             break
-        pr = next((i for i in range(r, m.rows) if a[i][col] != zero), None)
+        pr = next((i for i in range(r, rows) if a[i][col]), None)
         if pr is None:
             continue
         pivots.append(col)
         a[r], a[pr] = a[pr], a[r]
-        inv = F.inverse(a[r][col])
+        piv = a[r][col]
         if reduce:
-            t[r], t[pr] = t[pr], t[r]
-            a[r][col:] = [F.one] + [mul(inv, x) for x in a[r][col + 1:]]
-            t[r] = [mul(inv, x) for x in t[r]]
-            targets = [i for i in range(m.rows) if i != r]
+            orig[r], orig[pr] = orig[pr], orig[r]
+            # Rows above the pivot row are nonzero left of the pivot.
+            lo, targets = 0, [i for i in range(rows) if i != r]
         else:
-            targets = range(r + 1, m.rows)
-        tail = a[r][col + 1:]
+            lo, targets = col + 1, range(r + 1, rows)
+        tail = a[r][lo:]
         for i in targets:
-            c = a[i][col]
-            if c == zero:
-                continue
-            if reduce:
-                a[i][col] = zero
-                t[i] = [sub(x, mul(c, y)) for x, y in zip(t[i], t[r])]
-            else:
-                c = mul(c, inv)
-            a[i][col + 1:] = [sub(x, mul(c, y)) for x, y in zip(a[i][col + 1:], tail)]
-    return (tuple(pivots), a, t) if reduce else (tuple(pivots), None, None)
+            row = a[i]
+            c = row[col]
+            if c:
+                row[lo:] = [(piv * x - c * y) // prev for x, y in zip(row[lo:], tail)]
+            elif piv != prev:
+                row[lo:] = [piv * x // prev for x in row[lo:]]
+        prev = piv
+    if not reduce:
+        return tuple(pivots), None, None
+    k = len(pivots)
+    out_a, out_t = [], []
+    for i, row in enumerate(a):
+        t = [x * d for x, d in zip(row[cols:], dens)]
+        div = row[pivots[i]] if i < k else t[orig[i]]
+        out_a.append([Fraction(x, div) for x in row[:cols]])
+        out_t.append([Fraction(x, div) for x in t])
+    return tuple(pivots), out_a, out_t
+
+
+def _clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, as ints, and those lcms."""
+    out, dens = [], []
+    for row in rows:
+        d = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (d // x.denominator) for x in row])
+        dens.append(d)
+    return out, dens
 
 
 def _eliminate_packed(m: Matrix, reduce: bool = False) -> Eliminated:

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from minrank import GF, InternalInvariantError, Matrix, cli, matrix, ucl
+from minrank import GF, QQ, InternalInvariantError, Matrix, cli, matrix, ucl
 from minrank.block2x2 import free_shapes
 from minrank.files import problem_to_json
 from minrank.oracle import CertificationResult
+import reference
 from random_problem import rand_problem
 
 
@@ -76,20 +77,22 @@ def run(capsys, argv):
 
 
 def test_packed_kernel_keeps_every_output(tmp_path, capsys, monkeypatch):
-    # The GF(p) elimination kernel against the per-scalar loop, through the
-    # chains, the dimension and every fill step of the CLI.
+    # The packed GF(p) and fraction-free QQ kernels against the per-scalar
+    # elimination and product, through the chains, the dimension and every
+    # fill step of the CLI.
     paths = [write_json(tmp_path, "large.json",
                         problem_to_json(rand_problem(random.Random(0), GF(2), 24, 2)))]
-    for p in (2, 3, 101):
+    for field in (GF(2), GF(3), GF(101), QQ):
         for seed in range(8):
-            problem = rand_problem(random.Random(seed), GF(p), 2 + seed % 3, 3)
-            paths.append(write_json(tmp_path, f"{p}-{seed}.json", problem_to_json(problem)))
+            problem = rand_problem(random.Random(seed), field, 2 + seed % 3, 3)
+            paths.append(write_json(tmp_path, f"{field}-{seed}.json", problem_to_json(problem)))
     commands = (["solve"], ["dimension"], ["solve", "--enumerate", "--budget", "3000"])
     runs = [command + [path] for path in paths for command in commands]
-    packed = [run(capsys, argv) for argv in runs]
-    assert {code for code, _, _ in packed} == {0, 2}
-    monkeypatch.setattr(matrix, "_eliminate", matrix._eliminate_generic)
-    assert [run(capsys, argv) for argv in runs] == packed
+    fast = [run(capsys, argv) for argv in runs]
+    assert {code for code, _, _ in fast} == {0, 2}
+    monkeypatch.setattr(matrix, "_eliminate", reference.eliminate)
+    monkeypatch.setattr(Matrix, "__matmul__", reference.matmul)
+    assert [run(capsys, argv) for argv in runs] == fast
 
 
 def test_solve_unit_problem(tmp_path, capsys):

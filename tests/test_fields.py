@@ -119,8 +119,12 @@ def test_field_from_name():
 
 def test_require_same_field():
     assert require_same_field(GF(5), GF(5)) is GF(5)
+    # An equal field that is not the shared instance passes the slow check.
+    assert require_same_field(GF(5), PrimeField(5), GF(5)) is GF(5)
     with pytest.raises(FieldMismatchError):
         require_same_field(GF(5), GF(7))
+    with pytest.raises(FieldMismatchError):
+        require_same_field(GF(5), GF(5), PrimeField(7))
     with pytest.raises(FieldMismatchError):
         require_same_field(QQ, GF(2))
 

@@ -35,6 +35,7 @@ from minrank import (
 from minrank import matrix
 from minrank.matrix import without
 
+import reference
 from gens import rand_matrix
 from spans import (
     col_space_contained,
@@ -105,6 +106,17 @@ def test_arithmetic():
         a + q([[1, 2]])
     with pytest.raises(FieldMismatchError):
         a @ Matrix.identity(GF(5), 2)
+
+
+@pytest.mark.parametrize("field", (GF(2), GF(101), QQ), ids=str)
+def test_sum_and_difference_match_the_field_operations(field):
+    rng = random.Random(7)
+    shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(30)]
+    for r, c in shapes:
+        a, b = rand_matrix(rng, field, r, c), rand_matrix(rng, field, r, c)
+        for result, op in ((a + b, field.add), (a - b, field.sub)):
+            assert (result.rows, result.cols) == (r, c)
+            assert result.data == tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a.data, b.data))
 
 
 def test_stacking():
@@ -427,7 +439,7 @@ def test_packed_elimination_matches_the_generic_loop(field):
     rng = random.Random(field.p % 1000)
     for m in kernel_cases(rng, field):
         for reduce in (False, True):
-            assert matrix._eliminate_packed(m, reduce) == matrix._eliminate_generic(m, reduce)
+            assert matrix._eliminate_packed(m, reduce) == reference.eliminate(m, reduce)
 
 
 @pytest.mark.parametrize("field", PACKED_FIELDS, ids=str)
@@ -445,3 +457,51 @@ def test_packed_product_matches_the_scalar_product(field):
         assert (a @ b).data == tuple(
             tuple(sum(a[i, l] * b[l, j] for l in range(a.cols)) % p for j in range(b.cols))
             for i in range(a.rows))
+
+
+# ------------------------------------------------- fraction-free QQ kernel
+
+
+def rational_kernel_cases(rng):
+    """Seeded QQ matrices: integer, fractional, rank-deficient, huge denominators."""
+    big = 2**61 - 1
+
+    def scalar(kind):
+        if rng.random() < 0.25:
+            return 0
+        if kind == 1:
+            return rng.randint(-9, 9)
+        if kind == 2:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        return Fraction(rng.randint(-big, big), rng.choice((big, big - 2, 3 * big)))
+
+    for _ in range(60):
+        r, c, kind = rng.randint(0, 9), rng.randint(0, 9), rng.randint(1, 3)
+        yield Matrix.from_flat(QQ, r, c, [scalar(kind) for _ in range(r * c)])
+        k = rng.randint(0, min(r, c))
+        yield (Matrix.from_flat(QQ, r, k, [scalar(kind) for _ in range(r * k)])
+               @ Matrix.from_flat(QQ, k, c, [scalar(kind) for _ in range(k * c)]))
+    for n in range(10):
+        # Negative diagonal pivots with 1/big off the diagonal, and a rank-1 -1/big block.
+        yield Matrix.from_rows(QQ, [[-(i + 1) if i == j else Fraction(1, big) for j in range(n)]
+                                    for i in range(n)], cols=n)
+        yield Matrix.from_rows(QQ, [[Fraction(-1, big)] * 3] * n, cols=3)
+
+
+def test_integer_elimination_matches_the_reference_loop():
+    for m in rational_kernel_cases(random.Random(12)):
+        for reduce in (False, True):
+            got = matrix._eliminate(m, reduce)
+            assert got == reference.eliminate(m, reduce)
+            if reduce:
+                assert all(type(x) is Fraction for part in got[1:] for row in part for x in row)
+
+
+def test_rational_product_matches_the_reference_product():
+    rng = random.Random(13)
+    cases = list(rational_kernel_cases(rng))
+    for a in cases:
+        b = rng.choice([m for m in cases if m.rows == a.cols] or [Matrix.zeros(QQ, a.cols, 2)])
+        product = a @ b
+        assert product == reference.matmul(a, b)
+        assert all(type(x) is Fraction for x in product.entries())
